@@ -4,7 +4,8 @@ Subcommands cover every library operation plus a one-shot ``verify`` that
 runs the whole battery of cross-checks over a range of moduli.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 domain error (e.g. a word outside the subgroup).
+3 domain error (e.g. a word outside the subgroup, or a query that needs
+finite index on an infinite-index subgroup).
 """
 
 import argparse
@@ -14,7 +15,7 @@ import re
 import sys
 
 from . import engine, magnus, stallings
-from .words import Alphabet, ParseError, omega, parse_word
+from .words import Alphabet, ParseError, bracket_word, omega, parse_word
 
 DEFAULT_CAP = 8
 DEFAULT_N_MAX = 100
@@ -27,11 +28,18 @@ SPECTRAL_N_CAP = 20
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _default_cap():
-    try:
-        return int(os.environ["FGLAB_MAGNUS_CAP"])
-    except (KeyError, ValueError):
+def _env_cap():
+    """The weight cap from FGLAB_MAGNUS_CAP, or DEFAULT_CAP when it is unset."""
+    text = os.environ.get("FGLAB_MAGNUS_CAP")
+    if text is None:
         return DEFAULT_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError("FGLAB_MAGNUS_CAP must be an integer >= 1, got %r" % text)
+    return cap
 
 
 def _alphabet_arg(text):
@@ -68,7 +76,13 @@ def cmd_omega(args):
 def _load_subgroup(path):
     with open(path) as fh:
         desc = json.load(fh)
-    graph = stallings.from_json(desc)
+    if not isinstance(desc, dict):
+        raise ValueError("%s: a subgroup description is a JSON object" % path)
+    try:
+        graph = stallings.from_json(desc)
+    except KeyError as exc:
+        raise ValueError("%s: subgroup description lacks the key %s"
+                         % (path, exc)) from None
     preferred = None
     if "kernel" in desc:
         d = int(desc["kernel"]["d"])
@@ -121,20 +135,25 @@ def cmd_weight(args):
     alphabet = (_alphabet_arg(args.alphabet) if args.alphabet
                 else _infer_alphabet(args.word))
     word = parse_word(args.word, alphabet)
-    weight = magnus.lcs_weight(word, args.cap)
+    cap = _env_cap() if args.cap is None else args.cap
+    weight = magnus.lcs_weight(word, cap)
     if weight is magnus.IDENTITY:
-        text, value = "identity", "identity"
+        text = "identity"
     elif isinstance(weight, magnus.AtLeast):
-        text, value = ">=%d" % weight.bound, "at_least"
+        text = ">=%d" % weight.bound
     else:
-        text, value = str(weight), weight
-    _emit(args, {"cap": args.cap, "weight": value}, text)
+        text = str(weight)
+    _emit(args, {"cap": cap, "weight": magnus.weight_to_json(weight)}, text)
     return 0
 
 
 def cmd_witness(args):
     cert = engine.witness(args.d, args.m)
-    # re-verify through the module APIs, independent of the issuing path
+    # The issuing path found the weight on the bracket; re-check F_m on the
+    # letters by the flat route, after checking the letters are the ones
+    # the bracket spells.  The G_2 re-check repeats the issuing rewriting.
+    if bracket_word(cert.bracket, cert.witness.alphabet) != cert.witness:
+        raise engine.VerificationError("the witness is not the word of its bracket")
     if not magnus.in_lcs(cert.witness, args.m, cert.cap):
         raise engine.VerificationError("independent F_m re-check failed")
     graph = stallings.kernel_graph({"x": 1, "y": 0}, args.d, cert.witness.alphabet)
@@ -234,7 +253,9 @@ def build_parser():
     p.set_defaults(func=cmd_subgroup)
 
     p = sub.add_parser("weight", help="lower-central-series weight of a word")
-    p.add_argument("--cap", type=_positive(1), default=_default_cap())
+    p.add_argument("--cap", type=_positive(1),
+                   help="truncation degree (default: FGLAB_MAGNUS_CAP or %d)"
+                        % DEFAULT_CAP)
     p.add_argument("-a", "--alphabet",
                    help="generator names (default: inferred from the word)")
     p.add_argument("word")
@@ -260,7 +281,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except stallings.NotInSubgroupError as exc:
+    except (stallings.NotInSubgroupError, stallings.InfiniteIndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except engine.VerificationError as exc:

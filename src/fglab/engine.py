@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import magnus, stallings
-from .words import XY, Word, exponent_sums, generator, inverse, multiply, omega
+from .words import (XY, Word, bracket_word, exponent_sums, generator, inverse,
+                    multiply, omega, omega_bracket)
 
 
 class VerificationError(RuntimeError):
@@ -356,6 +357,7 @@ class WitnessCertificate:
     d: int
     m: int
     witness: Word
+    bracket: object  # the commutator bracket that spells the witness
     p_vec: tuple
     a_sum: int
     cap: int
@@ -364,17 +366,14 @@ class WitnessCertificate:
     transversal_reps: tuple
 
     def to_dict(self):
-        if isinstance(self.weight, magnus.AtLeast):
-            value = "at_least"
-        else:
-            value = self.weight
         return {
             "d": self.d,
             "m": self.m,
             "witness": str(self.witness),
             "p_vector": list(self.p_vec),
             "a_sum": self.a_sum,
-            "lcs_weight": {"cap": self.cap, "value": value},
+            "lcs_weight": {"cap": self.cap,
+                           "value": magnus.weight_to_json(self.weight)},
             "basis": [str(w) for w in self.basis_words],
             "transversal": [str(w) for w in self.transversal_reps],
             "verdicts": {"in_Fm": True, "in_G2": False},
@@ -389,23 +388,27 @@ def witness(d, m, cap=None):
 
     Verifies, before issuing, that the word's Magnus weight is at least m
     (exactly m whenever the cap permits) and that its P-vector is nonzero.
-    The default cap m + 1 pins the weight exactly.
+    The weight comes from one expansion of the bracket ``omega_bracket(m-2)``
+    by the weight filtration; the witness is the word that bracket spells.
+    The default cap m + 1 pins the weight exactly; a cap below m raises
+    ValueError, since it cannot certify membership in F_m.
     """
     if m < 2:
         raise ValueError("m must be >= 2 (G_1 = G is not constrained)")
     spec = KernelSpec(d)
     if cap is None:
         cap = m + 1
-    word = omega(m - 2)
+    bracket = omega_bracket(m - 2)
+    weight = magnus.series_weight(magnus.bracket_expand(bracket, cap))
+    if not magnus.weight_reaches(weight, m, cap):
+        raise VerificationError(
+            "omega_%d failed the F_%d membership certificate" % (m - 2, m))
+    word = bracket_word(bracket, XY)
     a_sum, vec = basis_exponents(spec, word)
     if not any(vec):
         raise VerificationError("P-vector of omega_%d vanished for d=%d" % (m - 2, d))
-    if not magnus.in_lcs(word, m, cap):
-        raise VerificationError(
-            "omega_%d failed the F_%d membership certificate" % (m - 2, m))
-    weight = magnus.lcs_weight(word, cap)
     _, transversal, basis = _machinery(d)
-    return WitnessCertificate(d=d, m=m, witness=word, p_vec=vec, a_sum=a_sum,
-                              cap=cap, weight=weight,
+    return WitnessCertificate(d=d, m=m, witness=word, bracket=bracket,
+                              p_vec=vec, a_sum=a_sum, cap=cap, weight=weight,
                               basis_words=basis.words,
                               transversal_reps=transversal.reps)

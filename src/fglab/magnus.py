@@ -8,7 +8,11 @@ lower-central-series weight of w: w lies in the m-th term iff the weight
 is at least m (or w is the identity).
 
 Series are sparse: a dict from monomials (tuples of variable indices) to
-nonzero integers.  All arithmetic is exact.
+nonzero integers.  All arithmetic is exact.  Two routes compute the same
+expansion: ``magnus_expand`` walks the letters of a word, and
+``bracket_expand`` works on a commutator bracket by the weight filtration,
+so its cost follows the size of the bracket and the cap, not the length of
+the word the bracket spells (which doubles with each level of nesting).
 """
 
 from dataclasses import dataclass
@@ -60,15 +64,6 @@ def series_one(cap):
     return NoncommSeries(cap, {(): 1})
 
 
-def series_add(s, t):
-    if s.cap != t.cap:
-        raise ValueError("cap mismatch")
-    terms = dict(s.terms)
-    for m, c in t.terms.items():
-        terms[m] = terms.get(m, 0) + c
-    return NoncommSeries(s.cap, terms)
-
-
 def series_mul(s, t):
     """Noncommutative product, discarding terms above the cap."""
     if s.cap != t.cap:
@@ -85,28 +80,149 @@ def series_mul(s, t):
     return NoncommSeries(cap, terms)
 
 
-def _letter_series(var, sign, cap):
-    if sign > 0:
-        return NoncommSeries(cap, {(): 1, (var,): 1})
-    terms = {(var,) * k: (-1) ** k for k in range(cap + 1)}
-    return NoncommSeries(cap, terms)
+# Both routes below work on "levels": a list whose entry k is the dict of
+# the degree-k terms, for k = 0..cap.  Grouping by degree lets a product
+# stop at the cap without testing each monomial.
+
+def _zero(cap):
+    return [{} for _ in range(cap + 1)]
+
+
+def _one(cap):
+    levels = _zero(cap)
+    levels[0] = {(): 1}
+    return levels
+
+
+def _series(levels, cap):
+    return NoncommSeries(cap, {m: c for level in levels for m, c in level.items()})
 
 
 def magnus_expand(w, cap):
     """Expansion of a word: product of the letter series, truncated.
 
-    The constant term is always 1 (the letter series are units).
+    The constant term is always 1 (the letter series are units).  Each
+    letter updates the series in place: multiplying by 1 + X_g adds the
+    degree-(k-1) terms, extended by g, into degree k, walking the degrees
+    downward; dividing by 1 + X_g solves T[p g] = S[p g] - T[p] walking
+    upward.  Either way a letter costs one pass over the terms.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    cache = {}
-    result = series_one(cap)
+    levels = _one(cap)
+    up, down = range(1, cap + 1), range(cap, 0, -1)
     for c in w.letters:
-        key = (abs(c) - 1, 1 if c > 0 else -1)
-        if key not in cache:
-            cache[key] = _letter_series(*key, cap)
-        result = series_mul(result, cache[key])
-    return result
+        g = (abs(c) - 1,)
+        sign = 1 if c > 0 else -1
+        for k in (down if c > 0 else up):
+            level = levels[k]
+            for p, coef in levels[k - 1].items():
+                q = p + g
+                coef = level.get(q, 0) + sign * coef
+                if coef:
+                    level[q] = coef
+                else:
+                    del level[q]
+    return _series(levels, cap)
+
+
+def _letter_levels(var, sign, cap):
+    if sign < 0:
+        return [{(var,) * k: (-1) ** k} for k in range(cap + 1)]
+    levels = _one(cap)
+    if cap:
+        levels[1] = {(var,): 1}
+    return levels
+
+
+def _mul_into(out, s, t, sign=1, start=0):
+    """Add sign * s * t to the level list out, up to its top degree.
+
+    Only the levels of s and t from ``start`` on take part.  Returns out.
+    """
+    cap = len(out) - 1
+    for i in range(start, min(len(s) - 1, cap - start) + 1):
+        for j in range(start, min(len(t) - 1, cap - i) + 1):
+            level = out[i + j]
+            for m1, c1 in s[i].items():
+                c1 *= sign
+                for m2, c2 in t[j].items():
+                    m = m1 + m2
+                    c = level.get(m, 0) + c1 * c2
+                    if c:
+                        level[m] = c
+                    else:
+                        del level[m]
+    return out
+
+
+def bracket_expand(bracket, cap):
+    """Expansion of a commutator bracket (see ``words.bracket_word``), truncated.
+
+    Equal to ``magnus_expand`` of the word the bracket spells, but computed
+    on the bracket by the weight filtration (Magnus, Karrass and Solitar,
+    *Combinatorial Group Theory*, ch. 5).  Give a letter weight 1 and
+    [u, v] the weight wt(u) + wt(v); M(b) - 1 then has no term below
+    degree wt(b).  With U = M(u), V = M(v),
+
+        M([u, v]) - 1 = (UV - VU) U^-1 V^-1,
+
+    where U is needed only up to degree cap - wt(v), V up to cap - wt(u),
+    and the inverses, which are M([u, v]^-1) = M([v, u]) for brackets,
+    up to cap - wt(u) - wt(v).  Results are memoised per node and cap.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    weights = {}
+    memo = {}
+
+    def weight(node):
+        if not isinstance(node, tuple):
+            return 1
+        key = id(node)
+        if key not in weights:
+            weights[key] = weight(node[0]) + weight(node[1])
+        return weights[key]
+
+    def expand(node, inverted, top):
+        if not isinstance(node, tuple):
+            sign = -1 if (node < 0) != inverted else 1
+            return _letter_levels(abs(node) - 1, sign, top)
+        key = (id(node), inverted, top)
+        if key in memo:
+            return memo[key]
+        u, v = node[::-1] if inverted else node
+        wu, wv = weight(u), weight(v)
+        rest = top - wu - wv
+        if rest < 0:
+            levels = _one(top)
+        else:
+            big_u, big_v = expand(u, False, top - wv), expand(v, False, top - wu)
+            # UV - VU = (U - 1)(V - 1) - (V - 1)(U - 1)
+            uv_vu = _mul_into(_zero(top), big_u, big_v, 1, 1)
+            _mul_into(uv_vu, big_v, big_u, -1, 1)
+            inverses = _mul_into(_zero(rest), expand(u, True, rest),
+                                 expand(v, True, rest))
+            levels = _mul_into(_one(top), uv_vu, inverses)
+        memo[key] = levels
+        return levels
+
+    return _series(expand(bracket, False, cap), cap)
+
+
+def series_weight(series):
+    """Lowest degree of series - 1, or AtLeast(cap + 1) if none is below the cap."""
+    degree = min((len(m) for m in series.terms if m), default=None)
+    return AtLeast(series.cap + 1) if degree is None else degree
+
+
+def weight_to_json(weight):
+    """JSON value of a weight: an int, "identity", or {"at_least": bound}."""
+    if weight is IDENTITY:
+        return "identity"
+    if isinstance(weight, AtLeast):
+        return {"at_least": weight.bound}
+    return weight
 
 
 def lcs_weight(w, cap):
@@ -118,22 +234,30 @@ def lcs_weight(w, cap):
     """
     if not w:
         return IDENTITY
-    series = magnus_expand(w, cap)
-    degrees = [len(m) for m in series.terms if m]
-    if not degrees:
-        return AtLeast(cap + 1)
-    return min(degrees)
+    return series_weight(magnus_expand(w, cap))
 
 
-def in_lcs(w, m, cap):
-    """Whether w lies in the m-th lower central series term, certified at cap."""
+def _check_term(m, cap):
     if m < 1:
         raise ValueError("m must be >= 1")
     if cap < m:
         raise ValueError("cap %d cannot certify membership in term %d" % (cap, m))
-    weight = lcs_weight(w, cap)
+
+
+def weight_reaches(weight, m, cap):
+    """Whether a weight found at truncation cap puts its word in the m-th term.
+
+    Raises ValueError when cap < m: such a truncation cannot certify.
+    """
+    _check_term(m, cap)
     if weight is IDENTITY:
         return True
     if isinstance(weight, AtLeast):
         return weight.bound >= m
     return weight >= m
+
+
+def in_lcs(w, m, cap):
+    """Whether w lies in the m-th lower central series term, certified at cap."""
+    _check_term(m, cap)
+    return weight_reaches(lcs_weight(w, cap), m, cap)

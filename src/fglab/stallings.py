@@ -23,6 +23,10 @@ class NotInSubgroupError(ValueError):
     """Raised when a word is required to lie in the subgroup but does not."""
 
 
+class InfiniteIndexError(ValueError):
+    """Raised when an operation needs a finite-index subgroup but has none."""
+
+
 class _Folder:
     """Union-find folding of a wedge of generator loops."""
 
@@ -248,7 +252,7 @@ def is_normal(graph):
     BFS form detects exactly.
     """
     if index(graph) is INFINITE:
-        raise ValueError("is_normal requires finite index")
+        raise InfiniteIndexError("is_normal requires finite index")
     key = graph._canonical_key(0)
     return all(graph._canonical_key(v) == key for v in range(1, graph.n_vertices))
 
@@ -321,7 +325,7 @@ def schreier_transversal(graph, preferred=None):
     before backward edges).
     """
     if index(graph) is INFINITE:
-        raise ValueError("transversal requires finite index")
+        raise InfiniteIndexError("transversal requires finite index")
     alphabet = graph.alphabet
     gen_order = list(range(len(alphabet)))
     if preferred is not None:

@@ -192,12 +192,29 @@ def exponent_sums(w):
 XY = Alphabet(("x", "y"))
 
 
-def omega(n):
-    """The left-normed commutator [x, y, x, ..., x] with n trailing x's."""
+def bracket_word(bracket, alphabet):
+    """The freely reduced word a commutator bracket spells.
+
+    A bracket is a signed letter code (as in ``Word.letters``) or a pair
+    ``(u, v)`` of brackets standing for ``[u, v]``.
+    """
+    if isinstance(bracket, tuple):
+        u, v = bracket
+        return commutator(bracket_word(u, alphabet), bracket_word(v, alphabet))
+    return Word(alphabet, (bracket,), reduced=True)
+
+
+def omega_bracket(n):
+    """omega_n as a bracket over ``XY``: ((..((x, y), x), ..), x), n trailing x's."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    x = generator(XY, "x")
-    w = commutator(x, generator(XY, "y"))
+    x, y = XY.index("x") + 1, XY.index("y") + 1
+    bracket = (x, y)
     for _ in range(n):
-        w = commutator(w, x)
-    return w
+        bracket = (bracket, x)
+    return bracket
+
+
+def omega(n):
+    """The left-normed commutator [x, y, x, ..., x] with n trailing x's."""
+    return bracket_word(omega_bracket(n), XY)

@@ -80,6 +80,19 @@ class TestSubgroup:
     def test_missing_file_exit_2(self, capsys):
         assert main(["subgroup", "index", "no_such_file.json"]) == 2
 
+    def test_kernel_without_map_names_key_and_file(self, capsys, tmp_path):
+        path = tmp_path / "kernel.json"
+        path.write_text('{"alphabet": ["x", "y"], "kernel": {"d": 3}}')
+        assert main(["subgroup", "index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'f'" in err and str(path) in err
+
+    def test_normal_on_infinite_index_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "sub.json"
+        path.write_text('{"alphabet": ["a", "b"], "generators": ["a"]}')
+        assert main(["subgroup", "normal", str(path)]) == 3
+        assert "finite index" in capsys.readouterr().err
+
 
 class TestWeight:
     def test_commutator(self, capsys):
@@ -96,10 +109,27 @@ class TestWeight:
         from fglab.words import omega
         assert run(capsys, "weight", "--cap", "3", str(omega(4))) == (0, ">=4")
 
+    def test_cap_exceeded_json_keeps_bound(self, capsys):
+        from fglab.words import omega
+        code, out = run(capsys, "--json", "weight", "--cap", "3", str(omega(4)))
+        assert code == 0
+        assert json.loads(out) == {"cap": 3, "weight": {"at_least": 4}}
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("FGLAB_MAGNUS_CAP", "2")
         from fglab.words import omega
         assert run(capsys, "weight", str(omega(2))) == (0, ">=3")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_bad_env_cap_exit_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FGLAB_MAGNUS_CAP", value)
+        assert main(["weight", "x y x^-1 y^-1"]) == 2
+        assert "FGLAB_MAGNUS_CAP" in capsys.readouterr().err
+
+    def test_env_cap_read_only_by_weight(self, capsys, monkeypatch):
+        monkeypatch.setenv("FGLAB_MAGNUS_CAP", "abc")
+        assert run(capsys, "omega", "0") == (0, "x y x^-1 y^-1")
+        assert run(capsys, "weight", "--cap", "4", "x y x^-1 y^-1") == (0, "2")
 
 
 class TestWitness:

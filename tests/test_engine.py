@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
                           eigen_check, iterate, nonvanishing_check, p_vector,
                           spectral_certificate, transition_matrix,
                           verify_recurrence, witness)
-from fglab.words import XY, omega, parse_word
+from fglab.words import XY, bracket_word, omega, parse_word
 
 
 class TestCanonicalBasis:
@@ -200,6 +201,15 @@ class TestWitness:
         assert payload["verdicts"] == {"in_Fm": True, "in_G2": False}
         assert payload["basis"][0] == "x^3"
         assert payload["transversal"] == ["", "x", "x^2"]
+
+    def test_json_keeps_the_bound_of_an_inexact_weight(self):
+        cert = dataclasses.replace(witness(3, 4), weight=magnus.AtLeast(6))
+        assert cert.to_dict()["lcs_weight"] == {"cap": 5,
+                                                "value": {"at_least": 6}}
+
+    def test_bracket_spells_the_witness(self):
+        cert = witness(3, 5)
+        assert bracket_word(cert.bracket, XY) == cert.witness == omega(3)
 
     def test_sound_against_independent_modules(self):
         cert = witness(4, 3)
