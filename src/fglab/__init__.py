@@ -21,7 +21,7 @@ from .magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand, in_lcs,
 from .engine import (EigenPair, KernelSpec, VerificationError,
                      WitnessCertificate, canonical_basis, char_poly_check,
                      conjugation_table, eigen_check, iterate,
-                     nonvanishing_check, p_vector, spectral_certificate,
+                     nonvanishing_check, p_vector, path_counts,
                      transition_matrix, verify_recurrence, witness)
 
 __version__ = "0.1.0"

@@ -20,10 +20,9 @@ from .words import Alphabet, ParseError, bracket_word, omega, parse_word
 DEFAULT_CAP = 8
 DEFAULT_N_MAX = 100
 DEFAULT_D_MAX = 12
-# verify sub-bounds: witness words double in length with n, and the float
-# spectral reconstruction loses absolute accuracy as entries grow
+# verify's recurrence cross-check rewrites omega_n, whose length doubles
+# with n; the other checks hold for every n
 RECURRENCE_N_CAP = 8
-SPECTRAL_N_CAP = 20
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -76,16 +75,16 @@ def cmd_omega(args):
 def _load_subgroup(path):
     with open(path) as fh:
         desc = json.load(fh)
-    if not isinstance(desc, dict):
-        raise ValueError("%s: a subgroup description is a JSON object" % path)
     try:
         graph = stallings.from_json(desc)
     except KeyError as exc:
         raise ValueError("%s: subgroup description lacks the key %s"
                          % (path, exc)) from None
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     preferred = None
     if "kernel" in desc:
-        d = int(desc["kernel"]["d"])
+        d = desc["kernel"]["d"]
         f = desc["kernel"]["f"]
         for name in desc["alphabet"]:
             if f.get(name, 0) % d == 1:
@@ -149,17 +148,16 @@ def cmd_weight(args):
 
 def cmd_witness(args):
     cert = engine.witness(args.d, args.m)
-    # The issuing path found the weight on the bracket; re-check F_m on the
-    # letters by the flat route, after checking the letters are the ones
-    # the bracket spells.  The G_2 re-check repeats the issuing rewriting.
+    # The issuing path found the weight on the bracket and the exponent sums
+    # by Schreier rewriting.  Re-check F_m on the letters by the flat route,
+    # after checking the letters are the ones the bracket spells, and G_2 by
+    # counting y letters per x-residue, which builds no graph.
     if bracket_word(cert.bracket, cert.witness.alphabet) != cert.witness:
         raise engine.VerificationError("the witness is not the word of its bracket")
     if not magnus.in_lcs(cert.witness, args.m, cert.cap):
         raise engine.VerificationError("independent F_m re-check failed")
-    graph = stallings.kernel_graph({"x": 1, "y": 0}, args.d, cert.witness.alphabet)
-    transversal = stallings.schreier_transversal(graph, preferred="x")
-    basis = stallings.schreier_basis(graph, transversal)
-    if stallings.in_derived_subgroup(graph, transversal, basis, cert.witness):
+    counted = engine.path_counts(args.d, cert.witness)
+    if counted != (cert.a_sum, cert.p_vec) or not any(cert.p_vec):
         raise engine.VerificationError("independent G_2 re-check failed")
     text = cert.to_json()
     if args.out:
@@ -176,35 +174,34 @@ def cmd_witness(args):
 
 def cmd_verify(args):
     n_max = args.n_max
+    recurrence_n_max = min(n_max, RECURRENCE_N_CAP)
     rows = []
     failure = None
     for d in range(2, args.d_max + 1):
         spec = engine.KernelSpec(d)
         checks = {}
         try:
-            engine.verify_recurrence(spec, min(n_max, RECURRENCE_N_CAP))
+            engine.verify_recurrence(spec, recurrence_n_max)
             checks["recurrence"] = True
             checks["char_poly"] = engine.char_poly_check(d)
             if not checks["char_poly"]:
                 raise engine.VerificationError("char_poly mismatch")
             engine.eigen_check(d)
             checks["eigen"] = True
-            engine.spectral_certificate(d, min(n_max, SPECTRAL_N_CAP))
-            checks["spectral"] = True
-            checks["nonvanishing"] = engine.nonvanishing_check(d, n_max)
+            checks["nonvanishing"] = engine.nonvanishing_check(d)
             if not checks["nonvanishing"]:
-                raise engine.VerificationError("A^n v_0 vanished")
+                raise engine.VerificationError("the all-n nonvanishing argument failed")
         except engine.VerificationError as exc:
             if failure is None:
                 failure = (d, str(exc))
         rows.append({"d": d, **checks})
 
     if args.json:
-        print(json.dumps({"n_max": n_max, "results": rows,
-                          "ok": failure is None},
+        print(json.dumps({"n_max": n_max, "recurrence_n_max": recurrence_n_max,
+                          "results": rows, "ok": failure is None},
                          sort_keys=True, separators=(",", ":")))
     else:
-        names = ["recurrence", "char_poly", "eigen", "spectral", "nonvanishing"]
+        names = ["recurrence", "char_poly", "eigen", "nonvanishing"]
         print("d   " + "  ".join("%-12s" % n for n in names))
         for row in rows:
             cells = ["pass" if row.get(n) else "FAIL" for n in names]
@@ -212,8 +209,9 @@ def cmd_verify(args):
         if failure:
             print("FAILED at d=%d: %s" % failure)
         else:
-            print("all checks passed for 2 <= d <= %d, n <= %d"
-                  % (args.d_max, n_max))
+            print("all checks passed for 2 <= d <= %d: recurrence for n <= %d; "
+                  "char_poly, eigen and nonvanishing for all n"
+                  % (args.d_max, recurrence_n_max))
     return 0 if failure is None else 1
 
 

@@ -7,16 +7,16 @@ central term of F lands inside [G, G]:
 * the canonical Schreier basis (a, b_1, ..., b_d) and its conjugation
   relations under x,
 * exponent-sum vectors of the witness words through actual rewriting,
-* the d x d integer transition matrix, its exact powers, characteristic
-  polynomial and eigenpairs (verified in the exact ring Q[t]/(t^d - 1)),
-* a floating-point spectral decomposition of the start vector,
+  cross-checked by counting y letters per x-residue,
+* the d x d integer transition matrix, its exact powers, its
+  characteristic polynomial (Bareiss determinants at d + 1 points) and
+  eigenpairs (verified in the exact ring Q[t]/(t^d - 1)),
+* a proof that A^n v_0 != 0 for every n, from the kernel of A,
 * witness certificates: explicit words in F_m \\ [G, G].
 
-Exact integer iteration is the primary check; the spectral certificate is
-a numerical cross-check of the eigen decomposition the argument rests on.
+All arithmetic is exact: Python integers and the cyclotomic ring above.
 """
 
-import cmath
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -164,78 +164,45 @@ def verify_recurrence(spec, n_max):
     return {"d": spec.d, "n_max": n_max, "checked": n_max + 1, "ok": True}
 
 
-# -- characteristic polynomial (dense integer polynomials in lambda) --------
+# -- characteristic polynomial, by exact determinants ------------------------
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return tuple((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                 for i in range(n))
+def _det(m):
+    """Exact determinant of a square integer matrix by Bareiss elimination.
 
-
-def _poly_mul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return tuple(out)
-
-
-def _poly_scale(p, c):
-    return tuple(c * a for a in p)
-
-
-def _trim(p):
-    i = len(p)
-    while i > 1 and p[i - 1] == 0:
-        i -= 1
-    return tuple(p[:i])
-
-
-def char_poly(d):
-    """det(A - lambda I) as coefficients (constant term first).
-
-    Laplace expansion along the leftmost remaining column, memoized on the
-    set of remaining rows; the matrix is sparse so this is cheap for the
-    d <= 12 range the spectral checks cover.
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): after step k every entry
+    below and right of the pivot is a (k+2)-minor of the input, so each
+    division is exact and all arithmetic stays in the integers.  A zero
+    pivot is swapped with a nonzero entry below it, which flips the sign.
     """
-    a = transition_matrix(d)
-    lam = (0, 1)
-    entries = [[(_poly_add((a[i][j],), _poly_scale(lam, -1)) if i == j
-                 else (a[i][j],))
-                for j in range(d)] for i in range(d)]
-
-    memo = {}
-
-    def det(rows):
-        if not rows:
-            return (1,)
-        if rows in memo:
-            return memo[rows]
-        col = d - len(rows)
-        total = (0,)
-        for pos, i in enumerate(rows):
-            e = entries[i][col]
-            if e == (0,):
-                continue
-            sub = det(rows[:pos] + rows[pos + 1:])
-            term = _poly_mul(e, sub)
-            if pos % 2:
-                term = _poly_scale(term, -1)
-            total = _poly_add(total, term)
-        memo[rows] = total
-        return total
-
-    return _trim(det(tuple(range(d))))
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
 def char_poly_check(d):
-    """Symbolic identity det(A - lambda I) = (1 - lambda)^d - 1."""
-    expected = (1,)
-    for _ in range(d):
-        expected = _poly_mul(expected, (1, -1))
-    expected = _trim(_poly_add(expected, (-1,)))
-    return char_poly(d) == expected
+    """det(A - lambda I) = (1 - lambda)^d - 1, as polynomials in lambda.
+
+    Both sides have degree at most d, so agreeing at the d + 1 points
+    lambda = 0, ..., d proves them equal.
+    """
+    a = transition_matrix(d)
+    return all(
+        _det([[a[i][j] - lam * (i == j) for j in range(d)] for i in range(d)])
+        == (1 - lam) ** d - 1
+        for lam in range(d + 1))
 
 
 # -- eigenpairs, exact in Q[t]/(t^d - 1) -------------------------------------
@@ -301,54 +268,48 @@ def eigen_check(d):
     return pairs
 
 
-def spectral_certificate(d, n_max, alpha_tol=1e-9, recon_tol=1e-6):
-    """Decompose v_0 over the eigenvectors numerically and reconstruct.
+def nonvanishing_check(d):
+    """A^n v_0 != 0 for every n >= 0, proved in exact integers.
 
-    alpha_j = (1/d) sum_k v_0[k] zeta^(kj) by the discrete-Fourier
-    orthogonality of the eigenvectors.  Asserts some alpha_j with j != d is
-    nonzero (the nonvanishing hinge) and that sum_j alpha_j lambda_j^n x_j
-    reproduces the exact iterate within recon_tol for n <= n_max.
-    Summation order is fixed (j ascending) for bit-reproducibility.
+    The columns of A sum to 0, so A maps the zero-sum vectors Z into Z.
+    The rows sum to 0, so A 1 = 0, and a nonzero (d-1)-minor makes the
+    rank d - 1: the all-ones vector 1 spans ker A.  Since 1 has sum d != 0,
+    ker A meets Z only in 0, so A is injective on Z.  v_0 is a nonzero
+    vector of Z, hence by induction so is every A^n v_0.
     """
-    zeta = cmath.exp(2j * cmath.pi / d)
-    v0 = start_vector(d)
-    alphas = []
-    for j in range(1, d + 1):
-        acc = 0j
-        for k in range(d):
-            acc += v0[k] * zeta ** (k * j)
-        alphas.append(acc / d)
-
-    max_off = max(abs(alphas[j - 1]) for j in range(1, d))
-    if max_off <= alpha_tol:
-        raise VerificationError("all alpha_j with j != d vanish for d=%d" % d)
-
-    lambdas = [1 - zeta ** j for j in range(1, d + 1)]
-    max_err = 0.0
-    for n in range(n_max + 1):
-        exact = iterate(d, n)
-        for k in range(d):
-            acc = 0j
-            for j in range(1, d + 1):
-                acc += alphas[j - 1] * lambdas[j - 1] ** n * zeta ** (-k * j)
-            max_err = max(max_err, abs(acc - exact[k]))
-    if max_err > recon_tol:
-        raise VerificationError(
-            "spectral reconstruction off by %g for d=%d" % (max_err, d))
-    return {"d": d, "n_max": n_max,
-            "alphas": [[z.real, z.imag] for z in alphas],
-            "max_alpha_off": max_off, "max_error": max_err, "ok": True}
-
-
-def nonvanishing_check(d, n_max):
-    """A^n v_0 != 0 for every 1 <= n <= n_max, in exact integers."""
     a = transition_matrix(d)
     v = start_vector(d)
-    for n in range(1, n_max + 1):
-        v = _mat_vec(a, v)
-        if not any(v):
-            return False
-    return True
+    return (all(sum(col) == 0 for col in zip(*a))
+            and all(sum(row) == 0 for row in a)
+            and _det([row[:-1] for row in a[:-1]]) != 0
+            and sum(v) == 0 and any(v))
+
+
+def path_counts(d, w):
+    """(a-sum, (P_1, ..., P_d)) of a kernel word, by walking its x-residues.
+
+    An independent route to ``basis_exponents`` that builds no graph: a y
+    letter read at residue r adds its sign to P_(r+1), and an x step across
+    d - 1 -> 0 adds its sign to the a-sum.  Raises VerificationError if the
+    walk does not end at residue 0, i.e. if w is not in the kernel.
+    """
+    x = w.alphabet.index("x") + 1
+    a_sum, counts, residue = 0, [0] * d, 0
+    for c in w.letters:
+        if c == x:
+            residue += 1
+            if residue == d:
+                residue, a_sum = 0, a_sum + 1
+        elif c == -x:
+            if residue == 0:
+                residue, a_sum = d, a_sum - 1
+            residue -= 1
+        else:
+            counts[residue] += 1 if c > 0 else -1
+    if residue != 0:
+        raise VerificationError("the word's walk ends at residue %d, not 0"
+                                % residue)
+    return a_sum, tuple(counts)
 
 
 @dataclass(frozen=True)

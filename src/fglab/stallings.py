@@ -8,7 +8,6 @@ free bases, and rewriting of subgroup elements into the free basis.
 Graphs are immutable after construction; every query is pure.
 """
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -472,24 +471,38 @@ def in_derived_subgroup(graph, transversal, basis, w):
     return not any(exponent_sums(rewrite(graph, transversal, basis, w)))
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json(obj):
-    """Build a graph from the shared subgroup-description JSON.
+    """Build a graph from a parsed subgroup-description JSON object.
 
     Either {"alphabet": [...], "generators": ["x^3", "y", ...]} or
     {"alphabet": [...], "kernel": {"d": 3, "f": {"x": 1, "y": 0}}}.
-    Accepts a dict, a JSON string, or a path to a JSON file.
+    A field of the wrong type raises ValueError naming the field; a
+    missing required key raises KeyError.
     """
     from .words import parse_word
 
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError:
-            with open(obj) as fh:
-                obj = json.load(fh)
-    alphabet = Alphabet(obj["alphabet"])
+    if not isinstance(obj, dict):
+        raise ValueError("a subgroup description is a JSON object")
+    names = obj["alphabet"]
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise ValueError("alphabet must be a list of generator names")
+    alphabet = Alphabet(names)
     if "kernel" in obj:
         spec = obj["kernel"]
-        return kernel_graph(spec["f"], int(spec["d"]), alphabet)
-    gens = [parse_word(text, alphabet) for text in obj.get("generators", [])]
+        if not isinstance(spec, dict):
+            raise ValueError("kernel must be an object with keys d and f")
+        d, f = spec["d"], spec["f"]
+        if not _is_int(d):
+            raise ValueError("kernel d must be an integer, got %r" % (d,))
+        if not (isinstance(f, dict) and all(_is_int(v) for v in f.values())):
+            raise ValueError("kernel f must map generator names to integers")
+        return kernel_graph(f, d, alphabet)
+    texts = obj.get("generators", [])
+    if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+        raise ValueError("generators must be a list of word strings")
+    gens = [parse_word(text, alphabet) for text in texts]
     return build_graph([g for g in gens if g], alphabet)

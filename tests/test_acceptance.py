@@ -78,9 +78,15 @@ def test_criterion_4_spectral_identities():
 
 
 def test_criterion_5_nonvanishing():
-    with criterion(5, "A^n v_0 != 0 for n <= 100, d <= 12; d=2 entries are +-2^n", 30):
+    with criterion(5, "A^n v_0 != 0 for all n, and by iteration for n <= 100, d <= 12; "
+                      "d=2 entries are +-2^n", 30):
         for d in range(2, 13):
-            assert engine.nonvanishing_check(d, 100)
+            assert engine.nonvanishing_check(d)
+            # oracle: repeated exact multiplication
+            a, v = engine.transition_matrix(d), engine.start_vector(d)
+            for n in range(1, 101):
+                v = engine._mat_vec(a, v)
+                assert any(v)
         for n in range(101):
             assert engine.iterate(2, n) == (-(2 ** n), 2 ** n)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib import resources
 
@@ -87,6 +88,22 @@ class TestSubgroup:
         err = capsys.readouterr().err
         assert "'f'" in err and str(path) in err
 
+    @pytest.mark.parametrize("desc,field", [
+        ('{"alphabet": ["x", "y"], "kernel": 5}', "kernel"),
+        ('{"alphabet": ["x", "y"], "kernel": {"d": 3, "f": {"x": "1", "y": 0}}}',
+         "kernel f"),
+        ('{"alphabet": ["x", "y"], "kernel": {"d": "three", "f": {"x": 1, "y": 0}}}',
+         "kernel d"),
+        ('{"alphabet": ["x", "y"], "generators": "x y"}', "generators"),
+        ('{"alphabet": "xy", "generators": ["x"]}', "alphabet"),
+    ], ids=["kernel", "f", "d", "generators", "alphabet"])
+    def test_mistyped_field_exit_2(self, capsys, tmp_path, desc, field):
+        path = tmp_path / "sub.json"
+        path.write_text(desc)
+        assert main(["subgroup", "index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: %s " % (path, field))
+
     def test_normal_on_infinite_index_exit_3(self, capsys, tmp_path):
         path = tmp_path / "sub.json"
         path.write_text('{"alphabet": ["a", "b"], "generators": ["a"]}')
@@ -148,6 +165,17 @@ class TestWitness:
         payload = json.loads(target.read_text())
         assert payload["p_vector"] == [-4, 4]
 
+    def test_g2_recheck_catches_a_wrong_p_vector(self, capsys, monkeypatch):
+        from fglab import engine
+        issue = engine.witness
+
+        def flipped(d, m):
+            cert = issue(d, m)
+            return dataclasses.replace(cert, p_vec=tuple(-p for p in cert.p_vec))
+        monkeypatch.setattr(engine, "witness", flipped)
+        assert main(["witness", "--d", "3", "--m", "3"]) == 1
+        assert "G_2 re-check" in capsys.readouterr().err
+
     def test_m1_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["witness", "--d", "3", "--m", "1"])
@@ -165,6 +193,24 @@ class TestVerify:
         payload = json.loads(out)
         assert code == 0 and payload["ok"]
         assert [row["d"] for row in payload["results"]] == [2, 3]
+
+    def test_json_reports_coverage(self, capsys):
+        code, out = run(capsys, "--json", "verify", "--d-max", "3",
+                        "--n-max", "50")
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"]
+        assert payload["n_max"] == 50 and payload["recurrence_n_max"] == 8
+        for row in payload["results"]:
+            assert set(row) == {"d", "recurrence", "char_poly", "eigen",
+                                "nonvanishing"}
+            assert all(row[k] is True for k in row if k != "d")
+
+    def test_summary_states_bounds(self, capsys):
+        code, out = run(capsys, "verify", "--d-max", "3", "--n-max", "5")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "all checks passed for 2 <= d <= 3: recurrence for n <= 5; "
+            "char_poly, eigen and nonvanishing for all n")
 
     def test_d_max_1_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -1,14 +1,16 @@
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fglab import engine, magnus, stallings
 from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
-                          char_poly, char_poly_check, conjugation_table,
-                          eigen_check, iterate, nonvanishing_check, p_vector,
-                          spectral_certificate, transition_matrix,
-                          verify_recurrence, witness)
+                          char_poly_check, conjugation_table, eigen_check,
+                          iterate, nonvanishing_check, p_vector, path_counts,
+                          transition_matrix, verify_recurrence, witness)
 from fglab.words import XY, bracket_word, omega, parse_word
 
 
@@ -116,14 +118,56 @@ class TestRecurrence:
                     m, p_vector(spec, omega(n)))
 
 
-class TestCharPoly:
-    def test_d2_expansion(self):
-        # (1 - t)^2 - 1 = t^2 - 2t
-        assert char_poly(2) == (0, -2, 1)
+def fraction_det(m):
+    """Oracle: Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            ratio = a[i][k] / a[k][k]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+    return det
 
-    @pytest.mark.parametrize("d", range(2, 13))
+
+@st.composite
+def square_matrices(draw):
+    size = draw(st.integers(0, 7))
+    # small entries make zero pivots and singular matrices common
+    rows = [draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+            for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])   # a repeated row: singular
+    return rows
+
+
+class TestDeterminant:
+    @given(square_matrices())
+    def test_matches_rational_elimination(self, m):
+        assert engine._det(m) == fraction_det(m)
+
+    def test_zero_leading_pivot(self):
+        assert engine._det([[0, 1], [1, 0]]) == -1
+        assert engine._det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+
+class TestCharPoly:
+    @pytest.mark.parametrize("d", range(2, 25))
     def test_matches_closed_form(self, d):
         assert char_poly_check(d)
+
+    def test_perturbed_matrix_fails(self, monkeypatch):
+        a = [list(row) for row in transition_matrix(5)]
+        a[2][0] += 1
+        monkeypatch.setattr(engine, "transition_matrix",
+                            lambda d: tuple(map(tuple, a)))
+        assert not char_poly_check(5)
 
 
 class TestEigen:
@@ -143,32 +187,60 @@ class TestEigen:
         assert pairs[-1].eigenvector == ((1, 0, 0),) * 3
 
 
-class TestSpectral:
-    def test_d2_alphas(self):
-        report = spectral_certificate(2, 10)
-        (a1, b1), (a2, b2) = report["alphas"]
-        assert abs(a1 + 1) < 1e-12 and abs(b1) < 1e-12
-        assert abs(a2) < 1e-12 and abs(b2) < 1e-12
-
-    def test_d3_off_top_alpha_nonzero(self):
-        assert spectral_certificate(3, 10)["max_alpha_off"] > 1e-9
-
-    @pytest.mark.parametrize("d", range(2, 8))
-    def test_reconstruction_matches_iterate(self, d):
-        report = spectral_certificate(d, 20)
-        assert report["ok"] and report["max_error"] <= 1e-6
+def bounded_nonvanishing(d, n_max):
+    """Oracle: A^n v_0 != 0 for 1 <= n <= n_max by repeated multiplication."""
+    a = transition_matrix(d)
+    v = engine.start_vector(d)
+    for _ in range(n_max):
+        v = engine._mat_vec(a, v)
+        if not any(v):
+            return False
+    return True
 
 
 class TestNonvanishing:
     def test_desk_scale(self):
-        assert nonvanishing_check(3, 100)
-        assert nonvanishing_check(2, 60)
-        assert nonvanishing_check(6, 100)
+        for d in (2, 3, 6):
+            assert nonvanishing_check(d)
+            assert bounded_nonvanishing(d, 100)
 
     def test_zero_sum_conservation(self):
         for d in (2, 3, 5, 12):
             for n in (0, 1, 7, 25):
                 assert sum(iterate(d, n)) == 0
+
+    @pytest.mark.parametrize("v0", [(1, 0, 0, 0), (0, 0, 0, 0)])
+    def test_bad_start_vector_fails(self, monkeypatch, v0):
+        monkeypatch.setattr(engine, "start_vector", lambda d: v0)
+        assert not nonvanishing_check(4)
+
+    def test_two_dimensional_kernel_fails(self, monkeypatch):
+        # two blocks of the d = 2 matrix: rows and columns still sum to 0,
+        # but (1, 1, 0, 0) and (0, 0, 1, 1) both lie in the kernel
+        blocks = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
+        monkeypatch.setattr(engine, "transition_matrix", lambda d: blocks)
+        assert not nonvanishing_check(4)
+
+
+class TestPathCounts:
+    @pytest.mark.parametrize("d", (2, 3, 5, 8))
+    def test_matches_rewriting(self, d):
+        for n in range(8):
+            assert path_counts(d, omega(n)) == \
+                engine.basis_exponents(KernelSpec(d), omega(n))
+
+    def test_a_steps(self):
+        for text, want in [("x^3 y x^-3", (0, (1, 0, 0))),
+                           ("x^3 y", (1, (1, 0, 0))),
+                           ("x^-3 y", (-1, (1, 0, 0))),
+                           ("x^-1 y x", (0, (0, 0, 1)))]:
+            word = parse_word(text, XY)
+            assert path_counts(3, word) == want
+            assert engine.basis_exponents(KernelSpec(3), word) == want
+
+    def test_rejects_non_kernel_words(self):
+        with pytest.raises(VerificationError):
+            path_counts(3, parse_word("x y", XY))
 
 
 class TestWitness:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -309,4 +310,4 @@ class TestJson:
         for name, idx in [("paper_index3.json", 3),
                           ("kernel_d2.json", 2), ("kernel_d3.json", 3)]:
             text = resources.files("fglab").joinpath("fixtures", name).read_text()
-            assert index(from_json(text)) == idx
+            assert index(from_json(json.loads(text))) == idx
