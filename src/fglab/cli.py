@@ -61,14 +61,14 @@ def _emit(args, payload, human):
 
 
 def cmd_reduce(args):
-    word = parse_word(args.word, _alphabet_arg(args.alphabet))
-    _emit(args, {"word": str(word)}, str(word))
+    text = str(parse_word(args.word, _alphabet_arg(args.alphabet)))
+    _emit(args, {"word": text}, text)
     return 0
 
 
 def cmd_omega(args):
-    word = omega(args.n)
-    _emit(args, {"n": args.n, "word": str(word)}, str(word))
+    text = str(omega(args.n))
+    _emit(args, {"n": args.n, "word": text}, text)
     return 0
 
 
@@ -124,8 +124,8 @@ def cmd_subgroup(args):
               "\n".join("%s = %s" % e for e in entries))
         return 0
     if args.query == "rewrite":
-        rewritten = stallings.rewrite(graph, transversal, basis, word)
-        _emit(args, {"rewrite": str(rewritten)}, str(rewritten))
+        text = str(stallings.rewrite(graph, transversal, basis, word))
+        _emit(args, {"rewrite": text}, text)
         return 0
     raise AssertionError(args.query)
 
@@ -203,8 +203,15 @@ def cmd_verify(args):
     else:
         names = ["recurrence", "char_poly", "eigen", "nonvanishing"]
         print("d   " + "  ".join("%-12s" % n for n in names))
+        # a row stops at its first failing check: the checks after it never
+        # ran, so they read "skip" (and --json omits their keys)
         for row in rows:
-            cells = ["pass" if row.get(n) else "FAIL" for n in names]
+            cells = []
+            for n in names:
+                if cells and cells[-1] != "pass":
+                    cells.append("skip")
+                else:
+                    cells.append("pass" if row.get(n) else "FAIL")
             print("%-3d " % row["d"] + "  ".join("%-12s" % c for c in cells))
         if failure:
             print("FAILED at d=%d: %s" % failure)

@@ -10,12 +10,21 @@ Graphs are immutable after construction; every query is pure.
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .words import Alphabet, Word, exponent_sums, identity, inverse, multiply
+from .words import (Alphabet, Word, _word, exponent_sums, identity, inverse,
+                    multiply)
 
 #: Distinguished return value of :func:`index` for infinite-index subgroups.
 INFINITE = math.inf
+
+#: Largest modulus ``d`` a kernel description file may ask for.  It bounds
+#: the kernel graph, 2d dicts of about 1 KB per residue: at this cap ``fglab
+#: subgroup index`` and ``contains`` peak near 120 MB.  It does not bound
+#: ``basis`` and ``rewrite``, whose coset representatives and basis words
+#: hold about d^2 letters, nor the time of ``normal``, which compares the
+#: graph rebased at each of the d vertices.
+MAX_KERNEL_D = 100_000
 
 
 class NotInSubgroupError(ValueError):
@@ -159,12 +168,16 @@ class SubgroupGraph:
 
 
 def build_graph(generators, alphabet):
-    """Stallings construction: wedge generator loops, fold, prune to core.
+    """Stallings construction: wedge generator loops and fold.
 
     The result is canonically relabeled (BFS from base, generators in
     alphabet order), so any permutation of an equivalent generator list
     yields an identical graph.  Empty/identity generators are dropped; an
     empty list gives the trivial subgroup's one-vertex graph.
+
+    Folding already yields the core: each generator is reduced, so every
+    vertex but the base lies inside a non-backtracking closed path and has
+    degree at least 2.  No pruning pass is needed.
     """
     folder = _Folder(len(alphabet))
     base = folder.new_vertex()
@@ -188,25 +201,7 @@ def build_graph(generators, alphabet):
     out = {r: {g: folder.find(t) for g, t in folder.out[r].items()} for r in roots}
     inn = {r: {g: folder.find(s) for g, s in folder.inn[r].items()} for r in roots}
 
-    # prune hanging trees (degree-1 non-base vertices)
-    def degree(v):
-        return len(out[v]) + len(inn[v])
-
-    live = set(roots)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(live):
-            if v != base and degree(v) <= 1:
-                for g, t in list(out[v].items()):
-                    del inn[t][g]
-                for g, s in list(inn[v].items()):
-                    del out[s][g]
-                out.pop(v), inn.pop(v)
-                live.discard(v)
-                changed = True
-
-    # drop unreachable components (cannot arise from loops at base, but be safe)
+    # canonical relabeling: BFS from base, generators in alphabet order
     order = {base: 0}
     queue = deque([base])
     while queue:
@@ -376,10 +371,39 @@ class SchreierBasis:
     alphabet names the basis letters; words[i] is the i-th basis element
     written in the ambient free group; edge_letter maps each non-tree edge
     (source, gen) to its basis letter index.
+
+    A basis from :func:`schreier_basis` also carries the walk tables
+    :func:`rewrite` reads, together with the graph and transversal they
+    were built for; a basis built by hand carries none, and :func:`rewrite`
+    then builds them on every call.
     """
     alphabet: Alphabet
     words: tuple
     edge_letter: dict
+    _walk: tuple = field(default=None, repr=False, compare=False)
+
+
+def _walk_tables(graph, transversal, edge_letter):
+    """(graph, transversal, steps, emits); steps and emits are indexed by a
+    signed letter code c.
+
+    steps[c][v] is the vertex the c-edge at v leads to; emits[c][v] is the
+    signed basis letter crossing that edge emits, 0 on a tree edge.
+    Negative codes index from the end, as in ``Word.letters``.
+    """
+    tree_edges = transversal.tree_edges
+    n, vertices = len(graph.alphabet), range(graph.n_vertices)
+    steps, emits = [None] * (2 * n + 1), [None] * (2 * n + 1)
+    for g in range(n):
+        steps[g + 1] = tuple(graph.out[v][g] for v in vertices)
+        steps[-g - 1] = tuple(graph.inn[v][g] for v in vertices)
+        # a non-tree edge (u, g) emits +letter forwards, -letter backwards
+        emits[g + 1] = tuple(0 if (v, g) in tree_edges
+                             else edge_letter[(v, g)] + 1 for v in vertices)
+        emits[-g - 1] = tuple(0 if (u, g) in tree_edges
+                              else -edge_letter[(u, g)] - 1
+                              for u in steps[-g - 1])
+    return graph, transversal, tuple(steps), tuple(emits)
 
 
 def schreier_basis(graph, transversal):
@@ -418,7 +442,8 @@ def schreier_basis(graph, transversal):
         edge_letter[(u, g)] = i
     return SchreierBasis(alphabet=Alphabet(names),
                          words=tuple(words),
-                         edge_letter=edge_letter)
+                         edge_letter=edge_letter,
+                         _walk=_walk_tables(graph, transversal, edge_letter))
 
 
 def rewrite(graph, transversal, basis, w):
@@ -426,24 +451,30 @@ def rewrite(graph, transversal, basis, w):
 
     Traces w from base; every non-tree edge crossed emits its basis letter,
     signed by crossing direction.  Substituting the basis words back and
-    reducing in F recovers w exactly.
+    reducing in F recovers w exactly.  The walk reads the basis's tables
+    when they were built for this graph and transversal, and builds them
+    otherwise; the graph has finite index, so the path never breaks.  The
+    result is reduced without a reduction pass: two adjacent letters s,
+    s^-1 would need a closed tree path between the two crossings, which a
+    reduced w never takes.
     """
     if w.alphabet != graph.alphabet:
         raise ValueError("alphabet mismatch")
+    walk = basis._walk
+    if walk is None or walk[0] is not graph or walk[1] is not transversal:
+        walk = _walk_tables(graph, transversal, basis.edge_letter)
+    _, _, steps, emits = walk
     v = 0
     emitted = []
+    append = emitted.append
     for c in w.letters:
-        gen, sign = abs(c) - 1, (1 if c > 0 else -1)
-        nxt = graph.step(v, gen, sign)
-        if nxt is None:
-            raise NotInSubgroupError("word %r leaves the automaton" % (str(w),))
-        edge = (v, gen) if sign > 0 else (nxt, gen)
-        if edge not in transversal.tree_edges:
-            emitted.append(sign * (basis.edge_letter[edge] + 1))
-        v = nxt
+        e = emits[c][v]
+        if e:
+            append(e)
+        v = steps[c][v]
     if v != 0:
         raise NotInSubgroupError("word %r does not return to base" % (str(w),))
-    return Word(basis.alphabet, emitted)
+    return _word(basis.alphabet, tuple(emitted))
 
 
 def evaluate(basis, w):
@@ -480,8 +511,9 @@ def from_json(obj):
 
     Either {"alphabet": [...], "generators": ["x^3", "y", ...]} or
     {"alphabet": [...], "kernel": {"d": 3, "f": {"x": 1, "y": 0}}}.
-    A field of the wrong type raises ValueError naming the field; a
-    missing required key raises KeyError.
+    A field of the wrong type, or a kernel ``d`` above
+    :data:`MAX_KERNEL_D`, raises ValueError naming the field; a missing
+    required key raises KeyError.
     """
     from .words import parse_word
 
@@ -498,6 +530,9 @@ def from_json(obj):
         d, f = spec["d"], spec["f"]
         if not _is_int(d):
             raise ValueError("kernel d must be an integer, got %r" % (d,))
+        if d > MAX_KERNEL_D:
+            raise ValueError("kernel d must be at most %d, got %d"
+                             % (MAX_KERNEL_D, d))
         if not (isinstance(f, dict) and all(_is_int(v) for v in f.values())):
             raise ValueError("kernel f must map generator names to integers")
         return kernel_graph(f, d, alphabet)

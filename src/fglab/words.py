@@ -5,10 +5,18 @@ for generator number ``i`` of the alphabet, ``-(i+1)`` for its inverse.
 Every constructor reduces eagerly, so a ``Word`` is always freely reduced
 and the empty tuple is the identity.  All values here are immutable and
 every operation is a pure function.
+
+Letters are checked once, where they come from outside: ``Word(...)``
+validates its codes and ``parse_word`` its tokens.  Products of words that
+are already valid (``multiply``, ``inverse``, ``commutator`` and everything
+built from them) trust their inputs: they cancel only at the seams and skip
+both reduction and re-validation.  The per-letter work runs in bulk passes
+(``map``, ``zip``, ``str.join``, ``itertools``) so that C code does it.
 """
 
 import re
-from itertools import groupby
+from itertools import chain, compress, count, groupby, islice
+from operator import eq, itemgetter, ne, neg
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
@@ -65,6 +73,10 @@ class Alphabet:
 
 def free_reduce(letters):
     """Cancel adjacent inverse pairs; returns a reduced tuple."""
+    letters = tuple(letters)
+    # a scan that copies nothing; most inputs are already reduced
+    if not any(map(eq, letters, map(neg, islice(letters, 1, None)))):
+        return letters
     stack = []
     for c in letters:
         if stack and stack[-1] == -c:
@@ -74,17 +86,52 @@ def free_reduce(letters):
     return tuple(stack)
 
 
+def _run_token(alphabet, code, k):
+    """The token of a run of k letters ``code``: name^k, k=1 omitted."""
+    name = alphabet[abs(code) - 1]
+    if code < 0:
+        k = -k
+    return name if k == 1 else "%s^%d" % (name, k)
+
+
+class _RunTokens(dict):
+    """A run of equal letters, as a tuple -> its token, formatted on first use."""
+
+    __slots__ = ("alphabet",)
+
+    def __init__(self, alphabet):
+        super().__init__()
+        self.alphabet = alphabet
+
+    def __missing__(self, run):
+        token = self[run] = _run_token(self.alphabet, run[0], len(run))
+        return token
+
+
+def _product(u, v):
+    """The reduced product of two reduced letter tuples, cancelled at the seam."""
+    k = next(compress(count(), map(ne, reversed(u), map(neg, v))),
+             min(len(u), len(v)))
+    return u[:len(u) - k] + v[k:]
+
+
+def _inverse(letters):
+    return tuple(map(neg, reversed(letters)))
+
+
 class Word:
     """A freely reduced word over an :class:`Alphabet`."""
 
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet, letters=(), reduced=False):
+        letters = tuple(letters) if reduced else free_reduce(letters)
+        n = len(alphabet)
+        if letters and (0 in letters or max(letters) > n or min(letters) < -n):
+            bad = next(c for c in letters if c == 0 or abs(c) > n)
+            raise ValueError("letter code out of range: %r" % (bad,))
         self.alphabet = alphabet
-        self.letters = tuple(letters) if reduced else free_reduce(letters)
-        for c in self.letters:
-            if c == 0 or abs(c) > len(alphabet):
-                raise ValueError("letter code out of range: %r" % (c,))
+        self.letters = letters
 
     def __len__(self):
         return len(self.letters)
@@ -108,21 +155,54 @@ class Word:
 
     def __str__(self):
         # canonical form: maximal runs as name^k, k=1 omitted
-        parts = []
-        for code, run in groupby(self.letters):
-            k = len(list(run))
-            if code < 0:
-                k = -k
-            name = self.alphabet[abs(code) - 1]
-            parts.append(name if k == 1 else "%s^%d" % (name, k))
-        return " ".join(parts)
+        letters = self.letters
+        # repeats[i] is 1 where letter i + 1 repeats letter i, so each run
+        # of two or more letters starts a block of ones
+        repeats = bytes(map(eq, letters, islice(letters, 1, None)))
+        runs = repeats.count(b"\0\1") + repeats.startswith(b"\1")
+        if runs > len(letters) // 16:
+            # more than one such run per 16 letters: formatting run by run
+            # through groupby is the cheaper route; only distinct runs are
+            # formatted
+            return " ".join(map(_RunTokens(self.alphabet).__getitem__,
+                                map(tuple, map(itemgetter(1), groupby(letters)))))
+        # few runs: the letters between them map one by one to their tokens,
+        # where the inverse codes index the tokens from the end
+        names = self.alphabet.names
+        tokens = ("",) + names + tuple("%s^-1" % n for n in reversed(names))
+        rest, pieces, done = iter(letters), [], 0
+        start = repeats.find(1)
+        while start >= 0:
+            stop = repeats.find(0, start) + 1
+            if not stop:
+                stop = len(letters)
+            # letters[done:start] one by one, then the run letters[start:stop]
+            # as the token its last letter maps to
+            code = letters[start]
+            run = {code: _run_token(self.alphabet, code, stop - start)}
+            pieces += (map(tokens.__getitem__, islice(rest, start - done)),
+                       map(run.__getitem__,
+                           islice(rest, stop - start - 1, stop - start)))
+            done = stop
+            start = repeats.find(1, stop)
+        pieces.append(map(tokens.__getitem__, rest))
+        del repeats  # not held while the text is built
+        return " ".join(chain.from_iterable(pieces))
 
     def __repr__(self):
         return "Word(%r)" % (str(self),)
 
 
+def _word(alphabet, letters):
+    """A Word from a reduced tuple of valid codes, with no reduction or check."""
+    w = object.__new__(Word)
+    w.alphabet = alphabet
+    w.letters = letters
+    return w
+
+
 def identity(alphabet):
-    return Word(alphabet, (), reduced=True)
+    return _word(alphabet, ())
 
 
 def generator(alphabet, name, power=1):
@@ -130,7 +210,7 @@ def generator(alphabet, name, power=1):
     code = alphabet.index(name) + 1
     if power < 0:
         code, power = -code, -power
-    return Word(alphabet, (code,) * power, reduced=True)
+    return _word(alphabet, (code,) * power)
 
 
 def parse_word(text, alphabet):
@@ -140,8 +220,11 @@ def parse_word(text, alphabet):
     reduction, so parsing always yields the free reduction of the literal
     word.  Empty text is the identity.
     """
-    letters = []
-    for token in text.split():
+    tokens = text.split()
+    # each distinct token is read once, in order of first appearance, so the
+    # first bad token of the text is the one reported
+    expansion = dict.fromkeys(tokens)
+    for token in expansion:
         m = _TOKEN_RE.match(token)
         if not m:
             raise ParseError("malformed token: %r" % (token,))
@@ -152,8 +235,9 @@ def parse_word(text, alphabet):
             raise ParseError("zero exponent in token: %r" % (token,))
         if k < 0:
             code, k = -code, -k
-        letters.extend([code] * k)
-    return Word(alphabet, letters)
+        expansion[token] = (code,) * k
+    letters = tuple(chain.from_iterable(map(expansion.__getitem__, tokens)))
+    return _word(alphabet, free_reduce(letters))
 
 
 def _check_alphabets(u, v):
@@ -164,20 +248,20 @@ def _check_alphabets(u, v):
 def multiply(u, v):
     """Freely reduced concatenation u*v."""
     _check_alphabets(u, v)
-    return Word(u.alphabet, u.letters + v.letters)
+    return _word(u.alphabet, _product(u.letters, v.letters))
 
 
 def inverse(w):
     """Reverse the word and flip every sign."""
-    return Word(w.alphabet, tuple(-c for c in reversed(w.letters)), reduced=True)
+    return _word(w.alphabet, _inverse(w.letters))
 
 
 def commutator(u, v):
     """[u, v] = u v u^-1 v^-1."""
     _check_alphabets(u, v)
-    return Word(u.alphabet,
-                u.letters + v.letters
-                + inverse(u).letters + inverse(v).letters)
+    a, b = u.letters, v.letters
+    return _word(u.alphabet,
+                 _product(_product(_product(a, b), _inverse(a)), _inverse(b)))
 
 
 def exponent_sums(w):

@@ -104,6 +104,22 @@ class TestSubgroup:
         err = capsys.readouterr().err
         assert err.startswith("error: %s: %s " % (path, field))
 
+    def test_kernel_d_over_the_cap_exit_2(self, capsys, tmp_path, monkeypatch):
+        from fglab import stallings
+
+        def no_graph(*args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(stallings, "kernel_graph", no_graph)
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"alphabet": ["x", "y"], "kernel": {
+            "d": stallings.MAX_KERNEL_D + 1, "f": {"x": 1, "y": 0}}}))
+        assert main(["subgroup", "index", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: %s: kernel d must be at most %d, got %d"
+                              % (path, stallings.MAX_KERNEL_D,
+                                 stallings.MAX_KERNEL_D + 1))
+
     def test_normal_on_infinite_index_exit_3(self, capsys, tmp_path):
         path = tmp_path / "sub.json"
         path.write_text('{"alphabet": ["a", "b"], "generators": ["a"]}')
@@ -211,6 +227,22 @@ class TestVerify:
         assert out.splitlines()[-1] == (
             "all checks passed for 2 <= d <= 3: recurrence for n <= 5; "
             "char_poly, eigen and nonvanishing for all n")
+
+    def test_checks_after_a_failure_read_skip(self, capsys, monkeypatch):
+        from fglab import engine
+
+        real = engine.char_poly_check
+        monkeypatch.setattr(engine, "char_poly_check",
+                            lambda d: d != 3 and real(d))
+        code, out = run(capsys, "verify", "--d-max", "4", "--n-max", "5")
+        assert code == 1
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:4]}
+        assert rows == {"2": ["pass"] * 4, "3": ["pass", "FAIL", "skip", "skip"],
+                        "4": ["pass"] * 4}
+        assert out.splitlines()[-1] == "FAILED at d=3: char_poly mismatch"
+        code, out = run(capsys, "--json", "verify", "--d-max", "3", "--n-max", "5")
+        assert json.loads(out)["results"][1] == {"d": 3, "recurrence": True,
+                                                 "char_poly": False}
 
     def test_d_max_1_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglab.stallings import (INFINITE, NotInSubgroupError, build_graph,
                              contains, evaluate, from_json,
@@ -70,6 +72,99 @@ class TestBuildGraph:
             shuffled = gens[:]
             rng.shuffle(shuffled)
             assert build_graph(shuffled, AB) == reference
+
+
+RANKS = {rank: Alphabet(("a", "b", "c")[:rank]) for rank in (1, 2, 3)}
+
+
+def codes(rank):
+    return st.sampled_from([s * g for g in range(1, rank + 1) for s in (1, -1)])
+
+
+@st.composite
+def generator_lists(draw):
+    """Reduced generator words of rank <= 3 and length <= 12, not all
+    cyclically reduced."""
+    rank = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.lists(codes(rank), min_size=1, max_size=12),
+                         max_size=4))
+    words = [Word(RANKS[rank], letters) for letters in gens]
+    return RANKS[rank], [w for w in words if w]
+
+
+@st.composite
+def transitive_actions(draw):
+    """Permutations of degree <= 12, one per generator, restricted to the
+    orbit of point 0 so that the action is transitive."""
+    rank = draw(st.integers(1, 3))
+    degree = draw(st.integers(1, 12))
+    perms = [draw(st.permutations(range(degree))) for _ in range(rank)]
+    queue = [0]
+    orbit = {0: 0}
+    for v in queue:
+        for p in perms:
+            if p[v] not in orbit:
+                orbit[p[v]] = len(orbit)
+                queue.append(p[v])
+    return RANKS[rank], [[orbit[p[v]] for v in queue] for p in perms]
+
+
+def action_reps(perms):
+    """Letters reading point 0 to each point, along a BFS tree."""
+    reps = {0: []}
+    queue = [0]
+    for v in queue:
+        for g, p in enumerate(perms):
+            for w, code in ((p[v], g + 1), (p.index(v), -g - 1)):
+                if w not in reps:
+                    reps[w] = reps[v] + [code]
+                    queue.append(w)
+    return reps
+
+
+def stabilizer_graph(alphabet, perms):
+    """Stallings graph of the stabilizer of point 0, from Schreier generators."""
+    reps = action_reps(perms)
+    gens = [Word(alphabet, reps[u] + [g + 1] + [-c for c in reversed(reps[p[u]])])
+            for u in range(len(perms[0])) for g, p in enumerate(perms)]
+    return build_graph([w for w in gens if w], alphabet), reps
+
+
+class TestFoldProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(generator_lists())
+    def test_fold_leaves_no_hanging_vertex(self, case):
+        alphabet, gens = case
+        g = build_graph(gens, alphabet)
+        for v in range(1, g.n_vertices):
+            assert len(g.out[v]) + len(g.inn[v]) >= 2
+        assert all(contains(g, w) for w in gens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_lists().flatmap(
+        lambda case: st.tuples(st.just(case), st.permutations(case[1]))))
+    def test_fold_ignores_generator_order(self, cases):
+        (alphabet, gens), shuffled = cases
+        assert build_graph(shuffled, alphabet) == build_graph(gens, alphabet)
+
+    @settings(max_examples=200, deadline=None)
+    @given(transitive_actions(), st.data())
+    def test_evaluate_inverts_rewrite(self, action, data):
+        alphabet, perms = action
+        g, reps = stabilizer_graph(alphabet, perms)
+        assert index(g) == len(perms[0])
+        preferred = data.draw(st.sampled_from((None,) + alphabet.names))
+        t = schreier_transversal(g, preferred=preferred)
+        b = schreier_basis(g, t)
+        for _ in range(5):
+            letters = data.draw(st.lists(codes(len(alphabet)), max_size=30))
+            end = 0
+            for c in letters:
+                p = perms[abs(c) - 1]
+                end = p[end] if c > 0 else p.index(end)
+            w = Word(alphabet, letters + [-c for c in reversed(reps[end])])
+            assert contains(g, w)
+            assert evaluate(b, rewrite(g, t, b, w)) == w
 
 
 class TestContains:
