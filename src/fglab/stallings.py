@@ -9,8 +9,7 @@ Graphs are immutable after construction; every query is pure.
 """
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import (Alphabet, Word, _word, exponent_sums, identity, inverse,
                     multiply)
@@ -19,11 +18,10 @@ from .words import (Alphabet, Word, _word, exponent_sums, identity, inverse,
 INFINITE = math.inf
 
 #: Largest modulus ``d`` a kernel description file may ask for.  It bounds
-#: the kernel graph, 2d dicts of about 1 KB per residue: at this cap ``fglab
-#: subgroup index`` and ``contains`` peak near 120 MB.  It does not bound
-#: ``basis`` and ``rewrite``, whose coset representatives and basis words
-#: hold about d^2 letters, nor the time of ``normal``, which compares the
-#: graph rebased at each of the d vertices.
+#: the kernel graph, 2k + 1 rows of d vertices: at this cap ``fglab subgroup
+#: index`` and ``contains`` peak near 22 MB, and ``normal`` near 34 MB.  It
+#: does not bound ``basis`` and ``rewrite``, whose coset representatives and
+#: basis words hold about d^2 letters.
 MAX_KERNEL_D = 100_000
 
 
@@ -35,191 +33,158 @@ class InfiniteIndexError(ValueError):
     """Raised when an operation needs a finite-index subgroup but has none."""
 
 
-class _Folder:
-    """Union-find folding of a wedge of generator loops."""
-
-    def __init__(self, n_gens):
-        self.n_gens = n_gens
-        self.parent = []
-        self.out = []   # per vertex: gen -> target
-        self.inn = []   # per vertex: gen -> source
-
-    def new_vertex(self):
-        v = len(self.parent)
-        self.parent.append(v)
-        self.out.append({})
-        self.inn.append({})
-        return v
-
-    def find(self, v):
-        while self.parent[v] != v:
-            self.parent[v] = self.parent[self.parent[v]]
-            v = self.parent[v]
-        return v
-
-    def add_edge(self, u, gen, v):
-        queue = deque([("e", u, gen, v)])
-        self._process(queue)
-
-    def _process(self, queue):
-        while queue:
-            item = queue.popleft()
-            if item[0] == "e":
-                _, u, gen, v = item
-                u, v = self.find(u), self.find(v)
-                if gen in self.out[u]:
-                    w = self.find(self.out[u][gen])
-                    if w != v:
-                        queue.append(("m", w, v))
-                elif gen in self.inn[v]:
-                    w = self.find(self.inn[v][gen])
-                    if w != u:
-                        queue.append(("m", w, u))
-                    queue.append(("e", u, gen, v))
-                else:
-                    self.out[u][gen] = v
-                    self.inn[v][gen] = u
-            else:
-                _, a, b = item
-                a, b = self.find(a), self.find(b)
-                if a == b:
-                    continue
-                # merge smaller map sets into larger
-                if len(self.out[a]) + len(self.inn[a]) < len(self.out[b]) + len(self.inn[b]):
-                    a, b = b, a
-                self.parent[b] = a
-                for gen, t in self.out[b].items():
-                    if gen in self.out[a]:
-                        queue.append(("m", self.find(self.out[a][gen]), self.find(t)))
-                    else:
-                        self.out[a][gen] = t
-                self.out[b] = {}
-                for gen, s in self.inn[b].items():
-                    if gen in self.inn[a]:
-                        queue.append(("m", self.find(self.inn[a][gen]), self.find(s)))
-                    else:
-                        self.inn[a][gen] = s
-                self.inn[b] = {}
-
-
 class SubgroupGraph:
     """Folded core graph with base vertex 0.
 
-    ``out[v][g]`` is the endpoint of the g-labeled edge leaving v, if any;
-    ``inn[v][g]`` the origin of the g-labeled edge entering v.  Generator
-    labels g are alphabet indices.
+    ``steps[c][v]`` is the vertex the c-edge at v leads to, or None, for a
+    signed letter code c as in ``Word.letters``: the generator-g edge
+    leaving v for c = g + 1, the one entering v for c = -(g + 1).  Negative
+    codes index from the end.  The empty letter 0 leads every vertex to
+    itself, so ``steps[0]`` is ``(0, 1, ..., n - 1)``.
     """
 
-    __slots__ = ("alphabet", "out", "inn")
+    __slots__ = ("alphabet", "steps")
 
-    def __init__(self, alphabet, out, inn):
+    def __init__(self, alphabet, steps):
         self.alphabet = alphabet
-        self.out = tuple(dict(d) for d in out)
-        self.inn = tuple(dict(d) for d in inn)
+        self.steps = tuple(map(tuple, steps))
 
     @property
     def n_vertices(self):
-        return len(self.out)
-
-    def step(self, v, gen, sign):
-        """Follow the edge labeled gen (sign -1: backwards); None if absent."""
-        table = self.out[v] if sign > 0 else self.inn[v]
-        return table.get(gen)
+        return len(self.steps[0])
 
     def trace(self, w, start=0):
         """Endpoint of the path labeled w from start, or None if it breaks."""
-        v = start
+        v, steps = start, self.steps
         for c in w.letters:
-            v = self.step(v, abs(c) - 1, 1 if c > 0 else -1)
+            v = steps[c][v]
             if v is None:
                 return None
         return v
 
     def edges(self):
         """All edges as (source, gen, target), in vertex/generator order."""
-        return [(u, g, self.out[u][g])
+        rows = self.steps[1:len(self.alphabet) + 1]
+        return [(u, g, row[u])
                 for u in range(self.n_vertices)
-                for g in sorted(self.out[u])]
-
-    def _canonical_key(self, base):
-        """Edge set under BFS relabeling from the given base vertex."""
-        order = {base: 0}
-        queue = deque([base])
-        while queue:
-            v = queue.popleft()
-            for gen in range(len(self.alphabet)):
-                for sign in (1, -1):
-                    w = self.step(v, gen, sign)
-                    if w is not None and w not in order:
-                        order[w] = len(order)
-                        queue.append(w)
-        edges = sorted((order[u], g, order[t]) for u, g, t in self.edges()
-                       if u in order and t in order)
-        return len(order), tuple(edges)
+                for g, row in enumerate(rows) if row[u] is not None]
 
     def __eq__(self, other):
         return (isinstance(other, SubgroupGraph)
                 and self.alphabet == other.alphabet
-                and self.out == other.out)
+                and self.steps == other.steps)
 
     def __repr__(self):
         return "SubgroupGraph(%d vertices, %d edges over %r)" % (
             self.n_vertices, len(self.edges()), list(self.alphabet))
 
 
+def _codes(gens):
+    """The signed codes of the generator indices ``gens``, each forwards
+    then backwards: 1, -1, 2, -2, ... for ``range(k)``."""
+    return [s * (g + 1) for g in gens for s in (1, -1)]
+
+
+def _bfs(steps, codes, tree=None):
+    """Breadth-first search over the edges ``steps[c]``, c in ``codes``.
+
+    ``tree`` maps each vertex reached to the code of the edge it was first
+    reached along, 0 for a start vertex, in order of discovery.  The search
+    starts from the vertices of the ``tree`` given, in its order, or from
+    vertex 0, and returns the tree extended to every vertex it reaches.
+    """
+    tree = {0: 0} if tree is None else dict(tree)
+    queue = list(tree)
+    for v in queue:
+        for c in codes:
+            w = steps[c][v]
+            if w is not None and w not in tree:
+                tree[w] = c
+                queue.append(w)
+    return tree
+
+
 def build_graph(generators, alphabet):
     """Stallings construction: wedge generator loops and fold.
 
-    The result is canonically relabeled (BFS from base, generators in
-    alphabet order), so any permutation of an equivalent generator list
+    The result is canonically relabeled (BFS from base, codes in the order
+    1, -1, 2, -2, ...), so any permutation of an equivalent generator list
     yields an identical graph.  Empty/identity generators are dropped; an
     empty list gives the trivial subgroup's one-vertex graph.
 
+    Each generator is read from the base along existing edges, forwards
+    from its start and backwards from its end, and only the letters in
+    between become new vertices.  An edge u -c-> v is stored as
+    ``adj[u][c] = v`` and ``adj[v][-c] = u``; two c-edges at one vertex make
+    a pair of vertices to merge, and one union-find stack merges them.
     Folding already yields the core: each generator is reduced, so every
     vertex but the base lies inside a non-backtracking closed path and has
-    degree at least 2.  No pruning pass is needed.
+    degree at least 2.
     """
-    folder = _Folder(len(alphabet))
-    base = folder.new_vertex()
+    width = 2 * len(alphabet) + 1
+    adj, parent, pending = [[None] * width], [0], []
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
     for w in generators:
         if w.alphabet != alphabet:
             raise ValueError("generator %r not over %r" % (w, alphabet))
-        prev = base
-        for i, c in enumerate(w.letters):
-            nxt = base if i == len(w.letters) - 1 else folder.new_vertex()
-            gen = abs(c) - 1
-            if c > 0:
-                folder.add_edge(prev, gen, nxt)
+        letters = w.letters
+        u, i = 0, 0
+        while i < len(letters) and adj[u][letters[i]] is not None:
+            u, i = find(adj[u][letters[i]]), i + 1
+        v, j = 0, len(letters)
+        while j > i and adj[v][-letters[j - 1]] is not None:
+            v, j = find(adj[v][-letters[j - 1]]), j - 1
+        if i == j:
+            # the whole generator reads as the paths 0 -> u and v -> 0
+            pending.append((u, v))
+        else:
+            for c in letters[i:j - 1]:
+                x = len(adj)
+                adj.append([None] * width)
+                parent.append(x)
+                adj[u][c], adj[x][-c] = x, u
+                u = x
+            # u has no c-edge: it is fresh and w is reduced, or it ended the
+            # forward read.  v has a -c edge only if the new path left v
+            # along -c.
+            c = letters[j - 1]
+            s = adj[v][-c]
+            if s is None:
+                adj[u][c], adj[v][-c] = v, u
             else:
-                folder.add_edge(nxt, gen, prev)
-            prev = nxt
+                pending.append((s, u))
+        while pending:
+            a, b = map(find, pending.pop())
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            # the smaller vertex stays the root, so the base stays 0
+            parent[b] = a
+            row, gone = adj[a], adj[b]
+            adj[b] = None
+            for c, t in enumerate(gone):
+                if t is not None:
+                    if row[c] is None:
+                        row[c] = t
+                    else:
+                        pending.append((row[c], t))
 
-    # collect surviving vertices
-    base = folder.find(base)
-    roots = sorted({folder.find(v) for v in range(len(folder.parent))
-                    if folder.find(v) == v})
-    out = {r: {g: folder.find(t) for g, t in folder.out[r].items()} for r in roots}
-    inn = {r: {g: folder.find(s) for g, s in folder.inn[r].items()} for r in roots}
-
-    # canonical relabeling: BFS from base, generators in alphabet order
-    order = {base: 0}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for g in range(len(alphabet)):
-            for table in (out[v], inn[v]):
-                w = table.get(g)
-                if w is not None and w not in order:
-                    order[w] = len(order)
-                    queue.append(w)
-
-    n = len(order)
-    new_out = [dict() for _ in range(n)]
-    new_inn = [dict() for _ in range(n)]
-    for v, i in order.items():
-        new_out[i] = {g: order[t] for g, t in out[v].items()}
-        new_inn[i] = {g: order[s] for g, s in inn[v].items()}
-    return SubgroupGraph(alphabet, new_out, new_inn)
+    unused = (None,) * width
+    columns = list(zip(*(unused if row is None else
+                         [None if t is None else find(t) for t in row]
+                         for row in adj)))
+    order = list(_bfs(columns, _codes(range(len(alphabet)))))
+    label = dict(zip(order, range(len(order))))
+    label[None] = None
+    return SubgroupGraph(alphabet, [range(len(order))] + [
+        map(label.__getitem__, map(column.__getitem__, order))
+        for column in columns[1:]])
 
 
 def contains(graph, w):
@@ -231,24 +196,35 @@ def contains(graph, w):
 
 def index(graph):
     """Subgroup index: vertex count if the automaton covers the rose, else INFINITE."""
-    n_gens = len(graph.alphabet)
-    for v in range(graph.n_vertices):
-        if len(graph.out[v]) < n_gens:
-            return INFINITE
+    if any(None in row for row in graph.steps):
+        return INFINITE
     return graph.n_vertices
 
 
 def is_normal(graph):
-    """Whether the subgroup is normal, by rebasing at every vertex.
+    """Whether the subgroup is normal, in O(k^2 n) for k generators.
 
-    The graph rebased at v accepts the conjugate subgroup; normality means
-    all rebasings are label-isomorphic to the original, which the canonical
-    BFS form detects exactly.
+    For each generator g, the map phi with phi(0) = g(0), extended along a
+    BFS tree, must commute with every edge label.  Such maps commute with
+    the action, and so do their composites, which carry 0 to every vertex:
+    the action is then regular, that is, the subgroup is normal.  A regular
+    action has every such map.
     """
     if index(graph) is INFINITE:
         raise InfiniteIndexError("is_normal requires finite index")
-    key = graph._canonical_key(0)
-    return all(graph._canonical_key(v) == key for v in range(1, graph.n_vertices))
+    steps, k = graph.steps, len(graph.alphabet)
+    tree = list(_bfs(steps, _codes(range(k))).items())[1:]
+    rows = steps[1:k + 1]
+    for row in rows:
+        phi = [None] * graph.n_vertices
+        phi[0] = row[0]
+        for w, c in tree:
+            phi[w] = steps[c][phi[steps[-c][w]]]
+        # other(phi(u)) == phi(other(u)) for every vertex u
+        if any(list(map(other.__getitem__, phi))
+               != list(map(phi.__getitem__, other)) for other in rows):
+            return False
+    return True
 
 
 def _check_surjective(f, d, alphabet):
@@ -272,14 +248,14 @@ def kernel_graph(f, d, alphabet):
     if missing:
         raise ValueError("map undefined on %r" % (missing,))
     _check_surjective(f, d, alphabet)
-    out = [dict() for _ in range(d)]
-    inn = [dict() for _ in range(d)]
+    # rotations of one tuple share its int objects
+    residues = tuple(range(d))
+    steps = [residues] + [None] * (2 * len(alphabet))
     for g, name in enumerate(alphabet):
         shift = f[name] % d
-        for r in range(d):
-            out[r][g] = (r + shift) % d
-            inn[(r + shift) % d][g] = r
-    return SubgroupGraph(alphabet, out, inn)
+        steps[g + 1] = residues[shift:] + residues[:shift]
+        steps[-g - 1] = residues[d - shift:] + residues[:d - shift]
+    return SubgroupGraph(alphabet, steps)
 
 
 def restrict_kernel(f, d, sub):
@@ -298,13 +274,14 @@ class Transversal:
 
     reps[v] is the coset representative reading base -> v along tree edges
     (so reps[0] is the identity); prefix-closure is the Schreier condition.
-    tree_edges holds the tree edges in forward orientation (source, gen).
+    tree[v] is the signed code of the tree edge entering v, 0 at the base:
+    the c-edge v -> w is a tree edge iff tree[w] == c or tree[v] == -c.
     order lists vertices in BFS discovery order.  preferred records the
     generator whose edges were explored first, if any.
     """
     graph: SubgroupGraph
     reps: tuple
-    tree_edges: frozenset
+    tree: tuple
     order: tuple
     preferred: str | None = None
 
@@ -321,46 +298,20 @@ def schreier_transversal(graph, preferred=None):
     if index(graph) is INFINITE:
         raise InfiniteIndexError("transversal requires finite index")
     alphabet = graph.alphabet
-    gen_order = list(range(len(alphabet)))
+    gen_order, tree = range(len(alphabet)), None
     if preferred is not None:
         p = alphabet.index(preferred)
-        gen_order.remove(p)
-        gen_order.insert(0, p)
-
+        gen_order = [p] + [g for g in gen_order if g != p]
+        tree = _bfs(graph.steps, [p + 1])
+    tree = _bfs(graph.steps, _codes(gen_order), tree)
     reps = {0: identity(alphabet)}
-    tree = set()
-    order = [0]
-
-    if preferred is not None:
-        p = alphabet.index(preferred)
-        step_word = Word(alphabet, (p + 1,), reduced=True)
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            w = graph.step(v, p, 1)
-            if w is not None and w not in reps:
-                reps[w] = multiply(reps[v], step_word)
-                tree.add((v, p))
-                order.append(w)
-                queue.append(w)
-
-    queue = deque(order)
-    while queue:
-        v = queue.popleft()
-        for gen in gen_order:
-            for sign in (1, -1):
-                w = graph.step(v, gen, sign)
-                if w is None or w in reps:
-                    continue
-                step = Word(alphabet, (sign * (gen + 1),), reduced=True)
-                reps[w] = multiply(reps[v], step)
-                tree.add((v, gen) if sign > 0 else (w, gen))
-                order.append(w)
-                queue.append(w)
+    for w, c in list(tree.items())[1:]:
+        reps[w] = multiply(reps[graph.steps[-c][w]],
+                           Word(alphabet, (c,), reduced=True))
     return Transversal(graph=graph,
                        reps=tuple(reps[v] for v in range(graph.n_vertices)),
-                       tree_edges=frozenset(tree),
-                       order=tuple(order),
+                       tree=tuple(tree[v] for v in range(graph.n_vertices)),
+                       order=tuple(tree),
                        preferred=preferred)
 
 
@@ -371,39 +322,10 @@ class SchreierBasis:
     alphabet names the basis letters; words[i] is the i-th basis element
     written in the ambient free group; edge_letter maps each non-tree edge
     (source, gen) to its basis letter index.
-
-    A basis from :func:`schreier_basis` also carries the walk tables
-    :func:`rewrite` reads, together with the graph and transversal they
-    were built for; a basis built by hand carries none, and :func:`rewrite`
-    then builds them on every call.
     """
     alphabet: Alphabet
     words: tuple
     edge_letter: dict
-    _walk: tuple = field(default=None, repr=False, compare=False)
-
-
-def _walk_tables(graph, transversal, edge_letter):
-    """(graph, transversal, steps, emits); steps and emits are indexed by a
-    signed letter code c.
-
-    steps[c][v] is the vertex the c-edge at v leads to; emits[c][v] is the
-    signed basis letter crossing that edge emits, 0 on a tree edge.
-    Negative codes index from the end, as in ``Word.letters``.
-    """
-    tree_edges = transversal.tree_edges
-    n, vertices = len(graph.alphabet), range(graph.n_vertices)
-    steps, emits = [None] * (2 * n + 1), [None] * (2 * n + 1)
-    for g in range(n):
-        steps[g + 1] = tuple(graph.out[v][g] for v in vertices)
-        steps[-g - 1] = tuple(graph.inn[v][g] for v in vertices)
-        # a non-tree edge (u, g) emits +letter forwards, -letter backwards
-        emits[g + 1] = tuple(0 if (v, g) in tree_edges
-                             else edge_letter[(v, g)] + 1 for v in vertices)
-        emits[-g - 1] = tuple(0 if (u, g) in tree_edges
-                              else -edge_letter[(u, g)] - 1
-                              for u in steps[-g - 1])
-    return graph, transversal, tuple(steps), tuple(emits)
 
 
 def schreier_basis(graph, transversal):
@@ -417,9 +339,10 @@ def schreier_basis(graph, transversal):
     (a, b_1, ..., b_d).  Otherwise all are ``s1..sk`` in the same order.
     """
     alphabet = graph.alphabet
+    tree = transversal.tree
     pos = {v: i for i, v in enumerate(transversal.order)}
-    nontree = sorted(((u, g) for u, g, _ in graph.edges()
-                      if (u, g) not in transversal.tree_edges),
+    nontree = sorted(((u, g) for u, g, v in graph.edges()
+                      if tree[v] != g + 1 and tree[u] != -g - 1),
                      key=lambda e: (pos[e[0]], e[1]))
 
     preferred = transversal.preferred
@@ -435,15 +358,14 @@ def schreier_basis(graph, transversal):
     words = []
     edge_letter = {}
     for i, (u, g) in enumerate(ordered):
-        v = graph.out[u][g]
+        v = graph.steps[g + 1][u]
         mid = Word(alphabet, (g + 1,), reduced=True)
         words.append(multiply(multiply(transversal.reps[u], mid),
                               inverse(transversal.reps[v])))
         edge_letter[(u, g)] = i
     return SchreierBasis(alphabet=Alphabet(names),
                          words=tuple(words),
-                         edge_letter=edge_letter,
-                         _walk=_walk_tables(graph, transversal, edge_letter))
+                         edge_letter=edge_letter)
 
 
 def rewrite(graph, transversal, basis, w):
@@ -451,19 +373,24 @@ def rewrite(graph, transversal, basis, w):
 
     Traces w from base; every non-tree edge crossed emits its basis letter,
     signed by crossing direction.  Substituting the basis words back and
-    reducing in F recovers w exactly.  The walk reads the basis's tables
-    when they were built for this graph and transversal, and builds them
-    otherwise; the graph has finite index, so the path never breaks.  The
-    result is reduced without a reduction pass: two adjacent letters s,
-    s^-1 would need a closed tree path between the two crossings, which a
-    reduced w never takes.
+    reducing in F recovers w exactly.  The walk reads ``emits[c][v]``, the
+    signed basis letter the c-edge at v emits (0 on a tree edge), a table
+    the size of the graph built on each call; the graph has finite index,
+    so the path never breaks.  The result is reduced without a reduction
+    pass: two adjacent letters s, s^-1 would need a closed tree path
+    between the two crossings, which a reduced w never takes.
     """
     if w.alphabet != graph.alphabet:
         raise ValueError("alphabet mismatch")
-    walk = basis._walk
-    if walk is None or walk[0] is not graph or walk[1] is not transversal:
-        walk = _walk_tables(graph, transversal, basis.edge_letter)
-    _, _, steps, emits = walk
+    steps, tree, letter = graph.steps, transversal.tree, basis.edge_letter
+    emits = [None] * len(steps)
+    for g in range(len(graph.alphabet)):
+        c = g + 1
+        # the c-edge v -> u emits +letter, the -c edge u -> v emits -letter
+        emits[c] = [0 if tree[u] == c or tree[v] == -c else letter[(v, g)] + 1
+                    for v, u in enumerate(steps[c])]
+        emits[-c] = [0 if tree[v] == c or tree[u] == -c else -letter[(u, g)] - 1
+                     for v, u in enumerate(steps[-c])]
     v = 0
     emitted = []
     append = emitted.append

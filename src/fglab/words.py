@@ -15,11 +15,16 @@ both reduction and re-validation.  The per-letter work runs in bulk passes
 """
 
 import re
+from collections import Counter
 from itertools import chain, compress, count, groupby, islice
 from operator import eq, itemgetter, ne, neg
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+
+#: Most letters a word may have where it enters: in the text ``parse_word``
+#: reads, before reduction, and in ``omega``.  omega_23 has 2^25 + 2.
+MAX_WORD_LETTERS = 2 ** 26
 
 
 class ParseError(ValueError):
@@ -218,12 +223,13 @@ def parse_word(text, alphabet):
 
     Exponents are sugar: ``x^-2`` expands to two inverse letters before
     reduction, so parsing always yields the free reduction of the literal
-    word.  Empty text is the identity.
+    word.  Empty text is the identity.  Text that expands to more than
+    :data:`MAX_WORD_LETTERS` letters raises ParseError.
     """
     tokens = text.split()
     # each distinct token is read once, in order of first appearance, so the
     # first bad token of the text is the one reported
-    expansion = dict.fromkeys(tokens)
+    expansion, longest = dict.fromkeys(tokens), 1
     for token in expansion:
         m = _TOKEN_RE.match(token)
         if not m:
@@ -235,6 +241,17 @@ def parse_word(text, alphabet):
             raise ParseError("zero exponent in token: %r" % (token,))
         if k < 0:
             code, k = -code, -k
+        expansion[token] = (code, k)
+        longest = max(longest, k)
+    # the letters are counted before any is spelled, token by token only
+    # when the longest token could pass the bound
+    if len(tokens) * longest > MAX_WORD_LETTERS:
+        counts = Counter(tokens)
+        total = sum(k * counts[t] for t, (_, k) in expansion.items())
+        if total > MAX_WORD_LETTERS:
+            raise ParseError("word has %d letters, more than the %d allowed"
+                             % (total, MAX_WORD_LETTERS))
+    for token, (code, k) in expansion.items():
         expansion[token] = (code,) * k
     letters = tuple(chain.from_iterable(map(expansion.__getitem__, tokens)))
     return _word(alphabet, free_reduce(letters))
@@ -300,5 +317,12 @@ def omega_bracket(n):
 
 
 def omega(n):
-    """The left-normed commutator [x, y, x, ..., x] with n trailing x's."""
+    """The left-normed commutator [x, y, x, ..., x] with n trailing x's.
+
+    Its 2^(n+2) + 2 letters (4 for n = 0) may not exceed
+    :data:`MAX_WORD_LETTERS`, so n <= 23.
+    """
+    if 2 ** min(n + 2, 64) + 2 > MAX_WORD_LETTERS:
+        raise ValueError("omega_%d has 2^%d + 2 letters, more than the %d allowed"
+                         % (n, n + 2, MAX_WORD_LETTERS))
     return bracket_word(omega_bracket(n), XY)

@@ -33,6 +33,11 @@ class TestReduce:
     def test_parse_error_exit_2(self, capsys):
         assert main(["reduce", "-a", "x,y", "z"]) == 2
 
+    def test_too_many_letters_exit_2(self, capsys):
+        assert main(["reduce", "-a", "x", "x x^1000000000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: word has 1000000001 letters, more than the 67108864 allowed\n")
+
 
 class TestOmega:
     def test_omega0(self, capsys):
@@ -43,6 +48,10 @@ class TestOmega:
         assert code == 0
         from fglab.words import XY, parse_word, omega
         assert parse_word(out, XY) == omega(1)
+
+    def test_too_long_is_usage_error(self, capsys):
+        assert main(["omega", "30"]) == 2
+        assert capsys.readouterr().err.startswith("error: omega_30 has 2^32 + 2")
 
     def test_negative_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -119,6 +128,13 @@ class TestSubgroup:
         assert err.startswith("error: %s: kernel d must be at most %d, got %d"
                               % (path, stallings.MAX_KERNEL_D,
                                  stallings.MAX_KERNEL_D + 1))
+
+    def test_normal_at_the_kernel_cap(self, capsys, tmp_path):
+        from fglab import stallings
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"alphabet": ["x", "y"], "kernel": {
+            "d": stallings.MAX_KERNEL_D, "f": {"x": 1, "y": 3}}}))
+        assert run(capsys, "subgroup", "normal", str(path)) == (0, "true")
 
     def test_normal_on_infinite_index_exit_3(self, capsys, tmp_path):
         path = tmp_path / "sub.json"

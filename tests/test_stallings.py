@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fglab.stallings import (INFINITE, NotInSubgroupError, build_graph,
@@ -93,11 +93,11 @@ def generator_lists(draw):
 
 
 @st.composite
-def transitive_actions(draw):
-    """Permutations of degree <= 12, one per generator, restricted to the
-    orbit of point 0 so that the action is transitive."""
+def transitive_actions(draw, max_degree=12):
+    """Permutations of degree <= max_degree, one per generator, restricted
+    to the orbit of point 0 so that the action is transitive."""
     rank = draw(st.integers(1, 3))
-    degree = draw(st.integers(1, 12))
+    degree = draw(st.integers(1, max_degree))
     perms = [draw(st.permutations(range(degree))) for _ in range(rank)]
     queue = [0]
     orbit = {0: 0}
@@ -130,6 +130,41 @@ def stabilizer_graph(alphabet, perms):
     return build_graph([w for w in gens if w], alphabet), reps
 
 
+@st.composite
+def regular_actions(draw):
+    """The regular action of the group a small transitive action generates:
+    each generator acts on the group elements, at most 4! of them, by
+    composition."""
+    alphabet, perms = draw(transitive_actions(max_degree=4))
+    elements = [tuple(range(len(perms[0])))]
+    index = {elements[0]: 0}
+    for h in elements:                   # grows while it is read
+        for p in perms:
+            ph = tuple(p[i] for i in h)
+            if ph not in index:
+                index[ph] = len(elements)
+                elements.append(ph)
+    return alphabet, [[index[tuple(p[i] for i in h)] for h in elements]
+                      for p in perms]
+
+
+def bfs_relabelled(perms):
+    """The action's tables by signed code, its points relabelled by BFS
+    from point 0 with codes in the order 1, -1, 2, -2, ..."""
+    tables = {}
+    for g, p in enumerate(perms):
+        tables[g + 1] = p
+        tables[-g - 1] = [p.index(v) for v in range(len(p))]
+    order, label = [0], {0: 0}
+    for v in order:                      # grows while it is read
+        for g in range(len(perms)):
+            for c in (g + 1, -g - 1):
+                if tables[c][v] not in label:
+                    label[tables[c][v]] = len(order)
+                    order.append(tables[c][v])
+    return {c: [label[t[v]] for v in order] for c, t in tables.items()}
+
+
 class TestFoldProperties:
     @settings(max_examples=300, deadline=None)
     @given(generator_lists())
@@ -137,7 +172,7 @@ class TestFoldProperties:
         alphabet, gens = case
         g = build_graph(gens, alphabet)
         for v in range(1, g.n_vertices):
-            assert len(g.out[v]) + len(g.inn[v]) >= 2
+            assert sum(row[v] is not None for row in g.steps[1:]) >= 2
         assert all(contains(g, w) for w in gens)
 
     @settings(max_examples=200, deadline=None)
@@ -165,6 +200,37 @@ class TestFoldProperties:
             w = Word(alphabet, letters + [-c for c in reversed(reps[end])])
             assert contains(g, w)
             assert evaluate(b, rewrite(g, t, b, w)) == w
+
+    @settings(max_examples=200, deadline=None)
+    @given(transitive_actions())
+    def test_fold_gives_back_the_action(self, action):
+        # the Schreier generators of the stabilizer of point 0 fold to the
+        # action's own graph, relabelled by BFS from point 0
+        alphabet, perms = action
+        g, _ = stabilizer_graph(alphabet, perms)
+        expected = bfs_relabelled(perms)
+        for c, table in expected.items():
+            assert list(g.steps[c]) == table
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(transitive_actions(), regular_actions()))
+    # not normal, yet each generator's map commutes with that generator
+    @example((RANKS[2], [[1, 2, 3, 0], [0, 2, 1, 3]]))
+    def test_normal_iff_schreier_generators_fix_every_point(self, action):
+        alphabet, perms = action
+        g, reps = stabilizer_graph(alphabet, perms)
+        degree = len(perms[0])
+        inverses = [[p.index(v) for v in range(degree)] for p in perms]
+
+        def act(letters, v):
+            for c in letters:
+                v = (perms if c > 0 else inverses)[abs(c) - 1][v]
+            return v
+
+        gens = [reps[u] + [k + 1] + [-c for c in reversed(reps[p[u]])]
+                for u in range(degree) for k, p in enumerate(perms)]
+        assert is_normal(g) == all(act(w, v) == v
+                                   for w in gens for v in range(degree))
 
 
 class TestContains:
@@ -230,12 +296,13 @@ class TestKernelGraph:
     def test_d3_shape(self):
         g = kernel_graph({"x": 1, "y": 0}, 3, XY)
         assert g.n_vertices == 3
-        assert [g.out[r][0] for r in range(3)] == [1, 2, 0]  # x-cycle
-        assert [g.out[r][1] for r in range(3)] == [0, 1, 2]  # y-loops
+        assert [g.steps[1][r] for r in range(3)] == [1, 2, 0]  # x-cycle
+        assert [g.steps[2][r] for r in range(3)] == [0, 1, 2]  # y-loops
 
     def test_d2_swap(self):
         g = kernel_graph({"x": 1, "y": 1}, 2, XY)
-        assert g.out[0] == {0: 1, 1: 1} and g.out[1] == {0: 0, 1: 0}
+        assert (g.steps[1][0], g.steps[2][0]) == (1, 1)
+        assert (g.steps[1][1], g.steps[2][1]) == (0, 0)
 
     def test_non_surjective_rejected(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from fglab.words import (XY, Alphabet, ParseError, Word, commutator,
-                         exponent_sums, free_reduce, generator, identity,
-                         inverse, multiply, omega, parse_word)
+from fglab.words import (MAX_WORD_LETTERS, XY, Alphabet, ParseError, Word,
+                         commutator, exponent_sums, free_reduce, generator,
+                         identity, inverse, multiply, omega, parse_word)
 
 
 def random_word(rng, alphabet, max_len):
@@ -54,6 +54,19 @@ class TestParse:
             parse_word("x^", XY)
         with pytest.raises(ParseError):
             parse_word("x^1.5", XY)
+
+    def test_letter_bound_counts_every_occurrence(self):
+        # each token alone is small; the text spells one letter too many
+        piece = MAX_WORD_LETTERS // 64
+        with pytest.raises(ParseError, match="more than the %d allowed"
+                           % MAX_WORD_LETTERS):
+            parse_word(" ".join(["x^%d" % piece] * 64 + ["y^-1"]), XY)
+        with pytest.raises(ParseError, match="1000000001 letters"):
+            parse_word("y x^1000000000", XY)
+        # the longest token times the token count passes the bound; the
+        # letters themselves do not
+        assert len(parse_word(" ".join(["x^100000"] + ["y"] * 1000), XY)) \
+            == 101000
 
     def test_round_trip_canonical_form(self):
         rng = random.Random(7)
@@ -127,6 +140,14 @@ class TestOmega:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             omega(-1)
+
+    def test_letter_bound(self):
+        # len(omega_n) = 2^(n+2) + 2 for n >= 1: omega_23 fits, omega_24 not
+        assert len(omega(5)) == 2 ** 7 + 2
+        assert 2 ** 25 + 2 <= MAX_WORD_LETTERS < 2 ** 26 + 2
+        for n in (24, 30, 10 ** 9):
+            with pytest.raises(ValueError, match="omega_%d has" % n):
+                omega(n)
 
 
 class TestExponentSums:
