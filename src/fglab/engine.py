@@ -17,13 +17,12 @@ central term of F lands inside [G, G]:
 All arithmetic is exact: Python integers and the cyclotomic ring above.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import magnus, stallings
-from .words import (XY, Word, bracket_word, exponent_sums, generator, inverse,
-                    multiply, omega, omega_bracket)
+from .words import (XY, Word, exponent_sums, generator, inverse, multiply,
+                    omega, omega_bracket)
 
 
 class VerificationError(RuntimeError):
@@ -38,10 +37,6 @@ class KernelSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError("modulus must be >= 2")
-
-    @property
-    def f(self):
-        return {"x": 1, "y": 0}
 
 
 @lru_cache(maxsize=None)
@@ -69,8 +64,8 @@ def conjugation_table(spec):
     graph, transversal, basis = _machinery(d)
     x = generator(XY, "x")
     table = {}
-    for name, word in zip(basis.alphabet, basis.words):
-        conj = multiply(multiply(x, word), inverse(x))
+    for i, name in enumerate(basis.alphabet):
+        conj = multiply(multiply(x, basis.word(i)), inverse(x))
         table[name] = stallings.rewrite(graph, transversal, basis, conj)
 
     expected = {"a": "a", "b%d" % d: "a b1 a^-1"}
@@ -224,7 +219,7 @@ def _cyc_monomial(k, d):
     return tuple(out)
 
 
-def _cyc_scale(a, c, d):
+def _cyc_scale(a, c):
     return tuple(c * x for x in a)
 
 
@@ -256,7 +251,7 @@ def eigen_check(d):
             for k in range(d):
                 if a[i][k]:
                     lhs = tuple(x + y for x, y in
-                                zip(lhs, _cyc_scale(vector[k], a[i][k], d)))
+                                zip(lhs, _cyc_scale(vector[k], a[i][k])))
             rhs = cyc_mul(eigenvalue, vector[i], d)
             if lhs != rhs:
                 ok = False
@@ -323,10 +318,11 @@ class WitnessCertificate:
     a_sum: int
     cap: int
     weight: object  # int, magnus.AtLeast, or magnus.IDENTITY
-    basis_words: tuple
-    transversal_reps: tuple
+    basis: stallings.SchreierBasis
 
     def to_dict(self):
+        """JSON data; each basis word and representative is spelled here."""
+        t = self.basis.transversal
         return {
             "d": self.d,
             "m": self.m,
@@ -335,13 +331,11 @@ class WitnessCertificate:
             "a_sum": self.a_sum,
             "lcs_weight": {"cap": self.cap,
                            "value": magnus.weight_to_json(self.weight)},
-            "basis": [str(w) for w in self.basis_words],
-            "transversal": [str(w) for w in self.transversal_reps],
+            "basis": [str(self.basis.word(i))
+                      for i in range(len(self.basis.alphabet))],
+            "transversal": [str(t.rep(v)) for v in range(t.graph.n_vertices)],
             "verdicts": {"in_Fm": True, "in_G2": False},
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def witness(d, m, cap=None):
@@ -350,13 +344,21 @@ def witness(d, m, cap=None):
     Verifies, before issuing, that the word's Magnus weight is at least m
     (exactly m whenever the cap permits) and that its P-vector is nonzero.
     The weight comes from one expansion of the bracket ``omega_bracket(m-2)``
-    by the weight filtration; the witness is the word that bracket spells.
+    by the weight filtration; the witness ``omega(m-2)`` is the word that
+    bracket spells.
     The default cap m + 1 pins the weight exactly; a cap below m raises
-    ValueError, since it cannot certify membership in F_m.
+    ValueError, since it cannot certify membership in F_m.  So does a d
+    above ``stallings.MAX_KERNEL_D``, before any graph is built, and an m
+    whose word would exceed ``words.MAX_WORD_LETTERS`` (m >= 26), before
+    any expansion.
     """
     if m < 2:
         raise ValueError("m must be >= 2 (G_1 = G is not constrained)")
     spec = KernelSpec(d)
+    if d > stallings.MAX_KERNEL_D:
+        raise ValueError("d must be at most %d, got %d"
+                         % (stallings.MAX_KERNEL_D, d))
+    word = omega(m - 2)
     if cap is None:
         cap = m + 1
     bracket = omega_bracket(m - 2)
@@ -364,12 +366,9 @@ def witness(d, m, cap=None):
     if not magnus.weight_reaches(weight, m, cap):
         raise VerificationError(
             "omega_%d failed the F_%d membership certificate" % (m - 2, m))
-    word = bracket_word(bracket, XY)
     a_sum, vec = basis_exponents(spec, word)
     if not any(vec):
         raise VerificationError("P-vector of omega_%d vanished for d=%d" % (m - 2, d))
-    _, transversal, basis = _machinery(d)
     return WitnessCertificate(d=d, m=m, witness=word, bracket=bracket,
                               p_vec=vec, a_sum=a_sum, cap=cap, weight=weight,
-                              basis_words=basis.words,
-                              transversal_reps=transversal.reps)
+                              basis=_machinery(d)[2])

@@ -52,10 +52,6 @@ class NoncommSeries:
         return (isinstance(other, NoncommSeries)
                 and self.cap == other.cap and self.terms == other.terms)
 
-    def min_degree(self):
-        """Lowest degree with a nonzero term, or None for the zero series."""
-        return min((len(m) for m in self.terms), default=None)
-
     def __repr__(self):
         return "NoncommSeries(cap=%d, %d terms)" % (self.cap, len(self.terms))
 

@@ -10,18 +10,16 @@ Graphs are immutable after construction; every query is pure.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
-from .words import (Alphabet, Word, _word, exponent_sums, identity, inverse,
-                    multiply)
+from .words import Alphabet, Word, _word, exponent_sums, inverse, multiply
 
 #: Distinguished return value of :func:`index` for infinite-index subgroups.
 INFINITE = math.inf
 
-#: Largest modulus ``d`` a kernel description file may ask for.  It bounds
-#: the kernel graph, 2k + 1 rows of d vertices: at this cap ``fglab subgroup
-#: index`` and ``contains`` peak near 22 MB, and ``normal`` near 34 MB.  It
-#: does not bound ``basis`` and ``rewrite``, whose coset representatives and
-#: basis words hold about d^2 letters.
+#: Largest modulus ``d`` a kernel file or ``fglab witness`` may ask for.  It
+#: bounds the kernel graph, 2k + 1 rows of d vertices, and so the memory of
+#: every query: a transversal and a basis keep only tree codes and edges.
 MAX_KERNEL_D = 100_000
 
 
@@ -272,22 +270,31 @@ def restrict_kernel(f, d, sub):
 class Transversal:
     """Schreier transversal from a BFS spanning tree.
 
-    reps[v] is the coset representative reading base -> v along tree edges
-    (so reps[0] is the identity); prefix-closure is the Schreier condition.
     tree[v] is the signed code of the tree edge entering v, 0 at the base:
     the c-edge v -> w is a tree edge iff tree[w] == c or tree[v] == -c.
     order lists vertices in BFS discovery order.  preferred records the
     generator whose edges were explored first, if any.
     """
     graph: SubgroupGraph
-    reps: tuple
     tree: tuple
     order: tuple
     preferred: str | None = None
 
+    def rep(self, v):
+        """The tree path from the base to v, read back from v.  It never
+        turns back in a folded graph, so the word is reduced; the
+        representatives are prefix-closed, and rep(0) is the identity."""
+        steps, tree, back = self.graph.steps, self.tree, []
+        append = back.append
+        while v:
+            append(c := tree[v])
+            v = steps[-c][v]
+        back.reverse()
+        return _word(self.graph.alphabet, tuple(back))
+
 
 def schreier_transversal(graph, preferred=None):
-    """BFS spanning tree and coset representatives.
+    """BFS spanning tree of a finite-index graph.
 
     When ``preferred`` names a generator, a first pass follows only its
     forward edges, so a kernel graph with f(preferred)=1 gets the
@@ -304,12 +311,7 @@ def schreier_transversal(graph, preferred=None):
         gen_order = [p] + [g for g in gen_order if g != p]
         tree = _bfs(graph.steps, [p + 1])
     tree = _bfs(graph.steps, _codes(gen_order), tree)
-    reps = {0: identity(alphabet)}
-    for w, c in list(tree.items())[1:]:
-        reps[w] = multiply(reps[graph.steps[-c][w]],
-                           Word(alphabet, (c,), reduced=True))
     return Transversal(graph=graph,
-                       reps=tuple(reps[v] for v in range(graph.n_vertices)),
                        tree=tuple(tree[v] for v in range(graph.n_vertices)),
                        order=tuple(tree),
                        preferred=preferred)
@@ -319,23 +321,33 @@ def schreier_transversal(graph, preferred=None):
 class SchreierBasis:
     """Free basis of the subgroup, one generator per non-tree edge.
 
-    alphabet names the basis letters; words[i] is the i-th basis element
-    written in the ambient free group; edge_letter maps each non-tree edge
-    (source, gen) to its basis letter index.
+    alphabet names the basis letters; edges[i] is the non-tree edge
+    (source, gen) of letter i, read against the tree of ``transversal``.
     """
     alphabet: Alphabet
-    words: tuple
-    edge_letter: dict
+    transversal: Transversal
+    edges: tuple
+
+    def word(self, i):
+        """Basis element i, rep(u) g rep(v)^-1 for its edge u -g-> v."""
+        u, g = self.edges[i]
+        t = self.transversal
+        v = t.graph.steps[g + 1][u]
+        head = t.rep(u)
+        # a loop (as every y-edge of a kernel of y -> 0) walks the tree once
+        tail = head if v == u else t.rep(v)
+        return multiply(multiply(head, _word(t.graph.alphabet, (g + 1,))),
+                        inverse(tail))
 
 
 def schreier_basis(graph, transversal):
     """Reidemeister-Schreier basis from the non-tree edges.
 
-    The element for edge (u, g, v) is rep(u) * g * rep(v)^-1, freely
-    reduced in F.  Naming: when the transversal has a preferred generator
-    and exactly one non-tree edge carries that label, that edge is named
-    ``a`` and comes first, the rest ``b1..bk`` in (BFS order of source,
-    generator index) order -- this makes kernel-graph bases read
+    The element for edge (u, g, v) is rep(u) * g * rep(v)^-1, spelled by
+    ``SchreierBasis.word``.  Naming: when the transversal has a preferred
+    generator and exactly one non-tree edge carries that label, that edge
+    is named ``a`` and comes first, the rest ``b1..bk`` in (BFS order of
+    source, generator index) order -- this makes kernel-graph bases read
     (a, b_1, ..., b_d).  Otherwise all are ``s1..sk`` in the same order.
     """
     alphabet = graph.alphabet
@@ -354,18 +366,8 @@ def schreier_basis(graph, transversal):
     else:
         ordered = nontree
         names = ["s%d" % (i + 1) for i in range(len(ordered))]
-
-    words = []
-    edge_letter = {}
-    for i, (u, g) in enumerate(ordered):
-        v = graph.steps[g + 1][u]
-        mid = Word(alphabet, (g + 1,), reduced=True)
-        words.append(multiply(multiply(transversal.reps[u], mid),
-                              inverse(transversal.reps[v])))
-        edge_letter[(u, g)] = i
-    return SchreierBasis(alphabet=Alphabet(names),
-                         words=tuple(words),
-                         edge_letter=edge_letter)
+    return SchreierBasis(alphabet=Alphabet(names), transversal=transversal,
+                         edges=tuple(ordered))
 
 
 def rewrite(graph, transversal, basis, w):
@@ -375,22 +377,20 @@ def rewrite(graph, transversal, basis, w):
     signed by crossing direction.  Substituting the basis words back and
     reducing in F recovers w exactly.  The walk reads ``emits[c][v]``, the
     signed basis letter the c-edge at v emits (0 on a tree edge), a table
-    the size of the graph built on each call; the graph has finite index,
-    so the path never breaks.  The result is reduced without a reduction
-    pass: two adjacent letters s, s^-1 would need a closed tree path
-    between the two crossings, which a reduced w never takes.
+    the size of the graph built from ``basis.edges`` on each call, so no
+    word is spelled; the graph has finite index, so the path never breaks.
+    The result is reduced without a reduction pass: two adjacent letters
+    s, s^-1 would need a closed tree path between the two crossings, which
+    a reduced w never takes.
     """
     if w.alphabet != graph.alphabet:
         raise ValueError("alphabet mismatch")
-    steps, tree, letter = graph.steps, transversal.tree, basis.edge_letter
-    emits = [None] * len(steps)
-    for g in range(len(graph.alphabet)):
-        c = g + 1
-        # the c-edge v -> u emits +letter, the -c edge u -> v emits -letter
-        emits[c] = [0 if tree[u] == c or tree[v] == -c else letter[(v, g)] + 1
-                    for v, u in enumerate(steps[c])]
-        emits[-c] = [0 if tree[v] == c or tree[u] == -c else -letter[(u, g)] - 1
-                     for v, u in enumerate(steps[-c])]
+    steps = graph.steps
+    emits = [[0] * len(steps[0]) for _ in steps]
+    for i, (u, g) in enumerate(basis.edges):
+        # the g-edge u -> v emits +letter, the -g edge v -> u emits -letter
+        emits[g + 1][u] = i + 1
+        emits[-g - 1][steps[g + 1][u]] = -i - 1
     v = 0
     emitted = []
     append = emitted.append
@@ -405,19 +405,18 @@ def rewrite(graph, transversal, basis, w):
 
 
 def evaluate(basis, w):
-    """Substitute basis words into a word over the basis alphabet."""
+    """Substitute basis words into a word over the basis alphabet.
+
+    Each distinct basis letter of w is spelled once.
+    """
     if w.alphabet != basis.alphabet:
         raise ValueError("word is not over the basis alphabet")
-    result_letters = []
-    for c in w.letters:
-        piece = basis.words[abs(c) - 1]
-        if c < 0:
-            piece = inverse(piece)
-        result_letters.extend(piece.letters)
-    ambient = basis.words[0].alphabet if basis.words else None
-    if ambient is None:
-        raise ValueError("empty basis has no ambient alphabet")
-    return Word(ambient, result_letters)
+    pieces = {}
+    for c in set(map(abs, w.letters)):
+        piece = basis.word(c - 1)
+        pieces[c], pieces[-c] = piece.letters, inverse(piece).letters
+    return Word(basis.transversal.graph.alphabet,
+                chain.from_iterable(map(pieces.__getitem__, w.letters)))
 
 
 def in_derived_subgroup(graph, transversal, basis, w):

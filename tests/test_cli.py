@@ -129,6 +129,15 @@ class TestSubgroup:
                               % (path, stallings.MAX_KERNEL_D,
                                  stallings.MAX_KERNEL_D + 1))
 
+    def test_rewrite_at_the_kernel_cap(self, capsys, tmp_path):
+        from fglab import stallings
+        d = stallings.MAX_KERNEL_D
+        path = tmp_path / "kernel.json"
+        path.write_text(json.dumps({"alphabet": ["x", "y"], "kernel": {
+            "d": d, "f": {"x": 1, "y": 0}}}))
+        assert run(capsys, "subgroup", "rewrite", str(path),
+                   "x^%d" % d) == (0, "a")
+
     def test_normal_at_the_kernel_cap(self, capsys, tmp_path):
         from fglab import stallings
         path = tmp_path / "kernel.json"
@@ -207,6 +216,23 @@ class TestWitness:
         monkeypatch.setattr(engine, "witness", flipped)
         assert main(["witness", "--d", "3", "--m", "3"]) == 1
         assert "G_2 re-check" in capsys.readouterr().err
+
+    def test_m_over_the_word_bound_exit_2(self, capsys):
+        assert main(["witness", "--d", "3", "--m", "30"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: omega_28 has 2^30 + 2 letters")
+
+    def test_d_over_the_kernel_cap_exit_2(self, capsys, monkeypatch):
+        from fglab import stallings
+
+        def no_graph(*args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(stallings, "kernel_graph", no_graph)
+        d = stallings.MAX_KERNEL_D + 1
+        assert main(["witness", "--d", str(d), "--m", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: d must be at most %d, got %d\n" % (d - 1, d))
 
     def test_m1_usage_error(self):
         with pytest.raises(SystemExit) as err:

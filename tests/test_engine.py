@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from fractions import Fraction
 
 import pytest
@@ -17,16 +16,17 @@ from fglab.words import XY, bracket_word, omega, parse_word
 class TestCanonicalBasis:
     def test_d3(self):
         b = canonical_basis(KernelSpec(3))
-        assert [str(w) for w in b.words] == ["x^3", "y", "x y x^-1", "x^2 y x^-2"]
+        assert [str(b.word(i)) for i in range(4)] == ["x^3", "y", "x y x^-1",
+                                                     "x^2 y x^-2"]
 
     def test_d2(self):
         b = canonical_basis(KernelSpec(2))
-        assert [str(w) for w in b.words] == ["x^2", "y", "x y x^-1"]
+        assert [str(b.word(i)) for i in range(3)] == ["x^2", "y", "x y x^-1"]
 
     def test_d5(self):
         b = canonical_basis(KernelSpec(5))
-        assert len(b.words) == 6
-        assert str(b.words[0]) == "x^5"
+        assert len(b.edges) == 6
+        assert str(b.word(0)) == "x^5"
 
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -263,8 +263,13 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness(3, 1)
 
+    def test_m_whose_word_is_too_long_rejected(self):
+        # omega_24 would have 2^26 + 2 letters
+        with pytest.raises(ValueError, match="omega_24"):
+            witness(3, 26)
+
     def test_json_schema(self):
-        payload = json.loads(witness(3, 2).to_json())
+        payload = witness(3, 2).to_dict()
         assert set(payload) == {"d", "m", "witness", "p_vector", "a_sum",
                                 "lcs_weight", "basis", "transversal",
                                 "verdicts"}

@@ -64,7 +64,8 @@ def oracle_str(letters, alphabet):
 def oracle_rewrite(graph, transversal, basis, w):
     # a tree edge u -g-> v extends a representative by one letter:
     # reps[v] == reps[u] g or reps[u] == reps[v] g^-1
-    reps = [r.letters for r in transversal.reps]
+    reps = [transversal.rep(v).letters for v in range(graph.n_vertices)]
+    letter = {edge: i for i, edge in enumerate(basis.edges)}
     v = 0
     emitted = []
     for c in w.letters:
@@ -74,7 +75,7 @@ def oracle_rewrite(graph, transversal, basis, w):
             raise stallings.NotInSubgroupError("leaves the automaton")
         u, t = (v, nxt) if sign > 0 else (nxt, v)
         if reps[t] != reps[u] + (gen + 1,) and reps[u] != reps[t] + (-gen - 1,):
-            emitted.append(sign * (basis.edge_letter[(u, gen)] + 1))
+            emitted.append(sign * (letter[(u, gen)] + 1))
         v = nxt
     if v != 0:
         raise stallings.NotInSubgroupError("does not return to base")
@@ -241,7 +242,7 @@ def test_rewrite_matches_tree_edge_walk(case):
     got = stallings.rewrite(graph, transversal, basis, w)
     assert got.letters == oracle_rewrite(graph, transversal, basis, w)
     # a basis built by hand rewrites the same
-    b = stallings.SchreierBasis(basis.alphabet, basis.words, basis.edge_letter)
+    b = stallings.SchreierBasis(basis.alphabet, basis.transversal, basis.edges)
     assert stallings.rewrite(graph, transversal, b, w) == got
     outside = multiply(w, Word(w.alphabet, [1]))
     with pytest.raises(stallings.NotInSubgroupError):

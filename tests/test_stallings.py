@@ -28,6 +28,14 @@ def kernel_machinery(d, f=None, alphabet=XY, preferred="x"):
     return g, t, schreier_basis(g, t)
 
 
+def reps(t):
+    return [t.rep(v) for v in range(t.graph.n_vertices)]
+
+
+def basis_words(b):
+    return [b.word(i) for i in range(len(b.edges))]
+
+
 def random_kernel_element(rng, d, max_len=40):
     """Random walk from base padded back to base with x-steps."""
     letters = []
@@ -233,6 +241,27 @@ class TestFoldProperties:
                                    for w in gens for v in range(degree))
 
 
+class TestTransversalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(transitive_actions(), st.data())
+    def test_reps_and_basis_words(self, action, data):
+        alphabet, perms = action
+        g, _ = stabilizer_graph(alphabet, perms)
+        preferred = data.draw(st.sampled_from((None,) + alphabet.names))
+        t = schreier_transversal(g, preferred=preferred)
+        letters = set()
+        for v, rep in enumerate(reps(t)):
+            assert Word(alphabet, rep.letters) == rep       # reduced
+            assert g.trace(rep) == v
+            letters.add(rep.letters)
+        # prefix-closed: the Schreier condition
+        assert all(r[:k] in letters for r in letters for k in range(len(r)))
+        b = schreier_basis(g, t)
+        assert all(contains(g, w) for w in basis_words(b))
+        assert len(b.edges) == len(b.alphabet) == (
+            len(g.edges()) - g.n_vertices + 1)
+
+
 class TestContains:
     def test_generators_accepted(self):
         g = index3_graph()
@@ -337,23 +366,23 @@ class TestRestrictKernel:
 class TestTransversal:
     def test_kernel_preferred_x(self):
         _, t, _ = kernel_machinery(3)
-        assert [str(r) for r in t.reps] == ["", "x", "x^2"]
+        assert [str(r) for r in reps(t)] == ["", "x", "x^2"]
 
     def test_one_vertex(self):
         g = build_graph([parse_word("x", XY), parse_word("y", XY)], XY)
         t = schreier_transversal(g)
-        assert t.reps == (identity(XY),)
+        assert reps(t) == [identity(XY)]
 
     def test_index3_has_three_reps(self):
         g = index3_graph()
         t = schreier_transversal(g, preferred="b")
-        assert len(t.reps) == 3
-        for v, rep in enumerate(t.reps):
+        assert len(reps(t)) == 3
+        for v, rep in enumerate(reps(t)):
             assert g.trace(rep) == v
 
     def test_reps_reach_their_vertices(self):
         g, t, _ = kernel_machinery(7)
-        for v, rep in enumerate(t.reps):
+        for v, rep in enumerate(reps(t)):
             assert g.trace(rep) == v
 
     def test_infinite_index_rejected(self):
@@ -365,27 +394,28 @@ class TestSchreierBasis:
     def test_kernel_d3(self):
         _, _, b = kernel_machinery(3)
         assert list(b.alphabet) == ["a", "b1", "b2", "b3"]
-        assert [str(w) for w in b.words] == ["x^3", "y", "x y x^-1", "x^2 y x^-2"]
+        assert [str(w) for w in basis_words(b)] == ["x^3", "y", "x y x^-1",
+                                                    "x^2 y x^-2"]
 
     def test_kernel_d2(self):
         _, _, b = kernel_machinery(2)
-        assert [str(w) for w in b.words] == ["x^2", "y", "x y x^-1"]
+        assert [str(w) for w in basis_words(b)] == ["x^2", "y", "x y x^-1"]
 
     def test_full_rose_basis_is_alphabet(self):
         g = build_graph([parse_word("x", XY), parse_word("y", XY)], XY)
         t = schreier_transversal(g)
         b = schreier_basis(g, t)
-        assert [str(w) for w in b.words] == ["x", "y"]
+        assert [str(w) for w in basis_words(b)] == ["x", "y"]
 
     def test_rank_formula(self):
         # rank = edges - vertices + 1 for a core graph
         for d in range(2, 10):
             g, t, b = kernel_machinery(d)
-            assert len(b.words) == len(g.edges()) - g.n_vertices + 1 == d + 1
+            assert len(basis_words(b)) == len(g.edges()) - g.n_vertices + 1 == d + 1
 
     def test_basis_words_accepted(self):
         g, _, b = kernel_machinery(5)
-        for w in b.words:
+        for w in basis_words(b):
             assert contains(g, w)
 
 
