@@ -36,8 +36,9 @@ def _env_cap():
         cap = int(text)
     except ValueError:
         cap = 0
-    if cap < 1:
-        raise ValueError("FGLAB_MAGNUS_CAP must be an integer >= 1, got %r" % text)
+    if not 1 <= cap <= magnus.MAX_CAP:
+        raise ValueError("FGLAB_MAGNUS_CAP must be an integer in 1..%d, got %r"
+                         % (magnus.MAX_CAP, text))
     return cap
 
 
@@ -73,9 +74,9 @@ def cmd_omega(args):
 
 
 def _load_subgroup(path):
-    with open(path) as fh:
-        desc = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            desc = json.load(fh)
         graph = stallings.from_json(desc)
     except KeyError as exc:
         raise ValueError("%s: subgroup description lacks the key %s"
@@ -222,11 +223,13 @@ def cmd_verify(args):
     return 0 if failure is None else 1
 
 
-def _positive(kind):
+def _positive(kind, most=None):
     def convert(text):
         value = int(text)
         if value < kind:
             raise argparse.ArgumentTypeError("must be >= %d" % kind)
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError("must be <= %d" % most)
         return value
     return convert
 
@@ -258,7 +261,7 @@ def build_parser():
     p.set_defaults(func=cmd_subgroup)
 
     p = sub.add_parser("weight", help="lower-central-series weight of a word")
-    p.add_argument("--cap", type=_positive(1),
+    p.add_argument("--cap", type=_positive(1, magnus.MAX_CAP),
                    help="truncation degree (default: FGLAB_MAGNUS_CAP or %d)"
                         % DEFAULT_CAP)
     p.add_argument("-a", "--alphabet",

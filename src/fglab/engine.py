@@ -8,9 +8,10 @@ central term of F lands inside [G, G]:
   relations under x,
 * exponent-sum vectors of the witness words through actual rewriting,
   cross-checked by counting y letters per x-residue,
-* the d x d integer transition matrix, its exact powers, its
-  characteristic polynomial (Bareiss determinants at d + 1 points) and
-  eigenpairs (verified in the exact ring Q[t]/(t^d - 1)),
+* the d x d integer transition matrix, the chain v_(n+1) = A v_n of
+  exponent vectors, its characteristic polynomial (Bareiss determinants
+  at d + 1 points) and eigenpairs (verified in the exact ring
+  Q[t]/(t^d - 1)),
 * a proof that A^n v_0 != 0 for every n, from the kernel of A,
 * witness certificates: explicit words in F_m \\ [G, G].
 
@@ -112,43 +113,28 @@ def _mat_vec(m, v):
     return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
 
 
-def _mat_mul(m, n):
-    cols = list(zip(*n))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                 for row in m)
-
-
-def _mat_pow(m, n):
-    d = len(m)
-    result = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    square = m
-    while n:
-        if n & 1:
-            result = _mat_mul(result, square)
-        square = _mat_mul(square, square)
-        n >>= 1
-    return result
-
-
 def iterate(d, n):
-    """Exact A^n v_0 via binary matrix exponentiation (arbitrary precision)."""
+    """Exact A^n v_0, by n steps of v <- A v (arbitrary precision)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _mat_vec(_mat_pow(transition_matrix(d), n), start_vector(d))
+    a, v = transition_matrix(d), start_vector(d)
+    for _ in range(n):
+        v = _mat_vec(a, v)
+    return v
 
 
 def verify_recurrence(spec, n_max):
-    """Check P-vectors from rewriting against matrix powers for n <= n_max.
+    """Check P-vectors from rewriting against the chain A^n v_0 for n <= n_max.
 
     The left side rewrites the actual witness word through the Schreier
-    graph; the right side is pure linear algebra.  Also checks that the
-    a-exponent of every witness word vanishes.
+    graph; the right side is pure linear algebra, one step v <- A v per n.
+    Also checks that the a-exponent of every witness word vanishes.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    a, matrix_side = transition_matrix(spec.d), start_vector(spec.d)
     for n in range(n_max + 1):
         a_sum, rewritten = basis_exponents(spec, omega(n))
-        matrix_side = iterate(spec.d, n)
         if rewritten != matrix_side:
             raise VerificationError(
                 "d=%d n=%d: rewriting gave %r, matrix gave %r"
@@ -156,6 +142,7 @@ def verify_recurrence(spec, n_max):
         if a_sum != 0:
             raise VerificationError(
                 "d=%d n=%d: nonzero a-exponent %d" % (spec.d, n, a_sum))
+        matrix_side = _mat_vec(a, matrix_side)
     return {"d": spec.d, "n_max": n_max, "checked": n_max + 1, "ok": True}
 
 
@@ -219,10 +206,6 @@ def _cyc_monomial(k, d):
     return tuple(out)
 
 
-def _cyc_scale(a, c):
-    return tuple(c * x for x in a)
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Verified eigenpair of A over Q[t]/(t^d - 1), with t for zeta."""
@@ -239,21 +222,19 @@ def eigen_check(d):
     Raises if any identity fails; the theorem's spectral step rests on it.
     """
     a = transition_matrix(d)
-    zero = (0,) * d
     one = _cyc_monomial(0, d)
     pairs = []
     for j in range(1, d + 1):
         eigenvalue = tuple(o - m for o, m in zip(one, _cyc_monomial(j, d)))
         vector = tuple(_cyc_monomial(-k * j, d) for k in range(d))
         ok = True
-        for i in range(d):
-            lhs = zero
-            for k in range(d):
-                if a[i][k]:
-                    lhs = tuple(x + y for x, y in
-                                zip(lhs, _cyc_scale(vector[k], a[i][k])))
-            rhs = cyc_mul(eigenvalue, vector[i], d)
-            if lhs != rhs:
+        for i, row in enumerate(a):
+            # x_j[k] = t^(-kj), so row i of A x_j scatters row i of A
+            # onto those powers of t
+            lhs = [0] * d
+            for k, entry in enumerate(row):
+                lhs[-k * j % d] += entry
+            if tuple(lhs) != cyc_mul(eigenvalue, vector[i], d):
                 ok = False
         pairs.append(EigenPair(j=j, eigenvalue=eigenvalue,
                                eigenvector=vector, ok=ok))

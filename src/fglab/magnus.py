@@ -17,6 +17,11 @@ the word the bracket spells (which doubles with each level of nesting).
 
 from dataclasses import dataclass
 
+#: Largest weight cap ``fglab weight`` accepts, from ``--cap`` or
+#: FGLAB_MAGNUS_CAP.  The series of one inverse letter alone holds about
+#: cap^2 / 2 codes; ``witness`` needs at most 26.
+MAX_CAP = 64
+
 
 class _Identity:
     """Singleton weight of the identity word (in every series term)."""

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from fglab import magnus
 from fglab.cli import main
 
 FIXTURES = resources.files("fglab") / "fixtures"
@@ -113,6 +114,15 @@ class TestSubgroup:
         err = capsys.readouterr().err
         assert err.startswith("error: %s: %s " % (path, field))
 
+    @pytest.mark.parametrize("content", [
+        b'{"alphabet": ["x", "y"], generators: []}', b'\xff{}'],
+        ids=["not-json", "not-utf8"])
+    def test_unreadable_file_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "sub.json"
+        path.write_bytes(content)
+        assert main(["subgroup", "index", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: %s: " % path)
+
     def test_kernel_d_over_the_cap_exit_2(self, capsys, tmp_path, monkeypatch):
         from fglab import stallings
 
@@ -178,11 +188,20 @@ class TestWeight:
         from fglab.words import omega
         assert run(capsys, "weight", str(omega(2))) == (0, ">=3")
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "",
+                                       str(magnus.MAX_CAP + 1), "100000"])
     def test_bad_env_cap_exit_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("FGLAB_MAGNUS_CAP", value)
         assert main(["weight", "x y x^-1 y^-1"]) == 2
         assert "FGLAB_MAGNUS_CAP" in capsys.readouterr().err
+
+    def test_cap_over_the_bound_exit_2(self, capsys):
+        cap = str(magnus.MAX_CAP)
+        assert run(capsys, "weight", "--cap", cap, "x^-1") == (0, "1")
+        with pytest.raises(SystemExit) as err:
+            main(["weight", "--cap", str(magnus.MAX_CAP + 1), "x^-1"])
+        assert err.value.code == 2
+        assert "--cap" in capsys.readouterr().err
 
     def test_env_cap_read_only_by_weight(self, capsys, monkeypatch):
         monkeypatch.setenv("FGLAB_MAGNUS_CAP", "abc")

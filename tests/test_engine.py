@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -97,10 +98,24 @@ class TestIterate:
     def test_matches_repeated_multiplication(self):
         for d in (3, 5, 7):
             m = transition_matrix(d)
-            v = engine.start_vector(d)
+            v0 = v = engine.start_vector(d)
             for n in range(30):
                 assert iterate(d, n) == v
+                # A = I - S for the cyclic shift (S v)_i = v_(i-1), so
+                # A^n = sum_k (-1)^k C(n, k) S^k
+                assert iterate(d, n) == tuple(
+                    sum((-1) ** k * comb(n, k) * v0[(i - k) % d]
+                        for k in range(n + 1))
+                    for i in range(d))
                 v = engine._mat_vec(m, v)
+
+
+def perturb_matrix(monkeypatch):
+    """Make engine.transition_matrix(5) return A with A[2][0] off by one."""
+    a = [list(row) for row in transition_matrix(5)]
+    a[2][0] += 1
+    monkeypatch.setattr(engine, "transition_matrix",
+                        lambda d: tuple(map(tuple, a)))
 
 
 class TestRecurrence:
@@ -116,6 +131,11 @@ class TestRecurrence:
             for n in range(5):
                 assert p_vector(spec, omega(n + 1)) == engine._mat_vec(
                     m, p_vector(spec, omega(n)))
+
+    def test_perturbed_matrix_fails(self, monkeypatch):
+        perturb_matrix(monkeypatch)
+        with pytest.raises(VerificationError, match="d=5 n=1: rewriting"):
+            verify_recurrence(KernelSpec(5), 3)
 
 
 def fraction_det(m):
@@ -163,10 +183,7 @@ class TestCharPoly:
         assert char_poly_check(d)
 
     def test_perturbed_matrix_fails(self, monkeypatch):
-        a = [list(row) for row in transition_matrix(5)]
-        a[2][0] += 1
-        monkeypatch.setattr(engine, "transition_matrix",
-                            lambda d: tuple(map(tuple, a)))
+        perturb_matrix(monkeypatch)
         assert not char_poly_check(5)
 
 
@@ -185,6 +202,13 @@ class TestEigen:
     def test_d3_kernel_vector_is_all_ones(self):
         pairs = eigen_check(3)
         assert pairs[-1].eigenvector == ((1, 0, 0),) * 3
+
+    def test_perturbed_matrix_fails(self, monkeypatch):
+        # the extra entry adds t^0 to row 2 of A x_j, for every j
+        perturb_matrix(monkeypatch)
+        with pytest.raises(VerificationError,
+                           match=r"d=5, j=\[1, 2, 3, 4, 5\]"):
+            eigen_check(5)
 
 
 def bounded_nonvanishing(d, n_max):

@@ -10,7 +10,7 @@ from fglab import engine
 from fglab.magnus import (AtLeast, NoncommSeries, bracket_expand, lcs_weight,
                           magnus_expand, series_mul, series_one, series_weight)
 from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
-                         generator, omega, omega_bracket)
+                         generator, multiply, omega, omega_bracket)
 
 RANKS = {rank: Alphabet("xyz"[:rank]) for rank in (1, 2, 3)}
 
@@ -58,6 +58,15 @@ def test_bracket_route_equals_flat_route(rank_bracket, cap):
 @given(words(), st.integers(1, 8))
 def test_level_kernel_equals_series_fold(word, cap):
     assert magnus_expand(word, cap) == folded_expand(word, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 8))
+def test_expansion_is_a_homomorphism(data, cap):
+    u = data.draw(words())
+    v = data.draw(words().filter(lambda w: w.alphabet == u.alphabet))
+    assert magnus_expand(multiply(u, v), cap) == series_mul(
+        magnus_expand(u, cap), magnus_expand(v, cap))
 
 
 def test_omega_bracket_spells_omega():
