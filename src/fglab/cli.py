@@ -23,6 +23,9 @@ DEFAULT_D_MAX = 12
 # verify's recurrence cross-check rewrites omega_n, whose length doubles
 # with n; the other checks hold for every n
 RECURRENCE_N_CAP = 8
+# witness re-checks F_m by magnus.dag_expand, whose cost grows about 2.3x
+# per step in m (about 5 s at m = 16)
+MAX_WITNESS_M = 16
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -149,13 +152,26 @@ def cmd_weight(args):
 
 
 def cmd_witness(args):
+    if args.m > MAX_WITNESS_M:
+        raise ValueError("m must be at most %d, got %d (the F_m re-check grows "
+                         "about 2.3x per step in m)" % (MAX_WITNESS_M, args.m))
     cert = engine.witness(args.d, args.m)
-    # The issuing path found the weight on the bracket and the exponent sums
-    # by Schreier rewriting.  Re-check F_m on the printed letters by the flat
-    # route, and G_2 by counting y letters per x-residue, which builds no
-    # graph.
-    if not magnus.in_lcs(cert.witness, args.m, cert.cap):
-        raise engine.VerificationError("independent F_m re-check failed")
+    # The issuing path found the weight on the bracket by the weight
+    # filtration and the exponent sums by Schreier rewriting.  Re-check F_m
+    # on the bracket twice: its structural weight proves membership for
+    # every m, and the plain DAG expansion must reproduce the printed weight.
+    # Re-check G_2 on the printed letters by counting y letters per
+    # x-residue, which builds no graph.
+    structural = magnus.structural_weight(cert.bracket)
+    if structural < args.m:
+        raise engine.VerificationError(
+            "independent F_m re-check failed: structural weight %d < %d"
+            % (structural, args.m))
+    expanded = magnus.series_weight(magnus.dag_expand(cert.bracket, cert.cap))
+    if expanded != cert.weight:
+        raise engine.VerificationError(
+            "independent F_m re-check failed: the DAG expansion gave weight "
+            "%r, the certificate %r" % (expanded, cert.weight))
     counted = engine.path_counts(args.d, cert.witness)
     if counted != (cert.a_sum, cert.p_vec) or not any(cert.p_vec):
         raise engine.VerificationError("independent G_2 re-check failed")

@@ -8,18 +8,32 @@ lower-central-series weight of w: w lies in the m-th term iff the weight
 is at least m (or w is the identity).
 
 Series are sparse: a dict from monomials (tuples of variable indices) to
-nonzero integers.  All arithmetic is exact.  Two routes compute the same
-expansion: ``magnus_expand`` walks the letters of a word, and
-``bracket_expand`` works on a commutator bracket by the weight filtration,
-so its cost follows the size of the bracket and the cap, not the length of
-the word the bracket spells (which doubles with each level of nesting).
+nonzero integers.  All arithmetic is exact.  Three routes compute the same
+expansion:
+
+* ``magnus_expand`` walks the letters of a word, one pass over the terms
+  per letter.  ``lcs_weight`` and ``in_lcs`` use it.
+* ``bracket_expand`` works on a commutator bracket by the weight
+  filtration, truncating each factor as low as the bracket's weights
+  allow.  It issues the F_m verdict of a witness certificate.
+* ``dag_expand`` walks the bracket's node list and keeps every factor up
+  to the full cap, sharing no truncation arithmetic with
+  ``bracket_expand``.  It re-checks that verdict.
+
+The two bracket routes cost what the bracket and the cap cost, not the
+length of the word the bracket spells, which doubles with each level of
+nesting.  ``structural_weight`` bounds the weight from below with no
+expansion at all.
 """
 
 from dataclasses import dataclass
+from operator import add
+
+from .words import _fold_bracket
 
 #: Largest weight cap ``fglab weight`` accepts, from ``--cap`` or
 #: FGLAB_MAGNUS_CAP.  The series of one inverse letter alone holds about
-#: cap^2 / 2 codes; ``witness`` needs at most 26.
+#: cap^2 / 2 codes; ``witness`` uses cap m + 1, at most 17.
 MAX_CAP = 64
 
 
@@ -99,31 +113,39 @@ def _series(levels, cap):
     return NoncommSeries(cap, {m: c for level in levels for m, c in level.items()})
 
 
+def _letter_step(levels, c):
+    """Multiply a level list in place, on the right, by the series of letter c.
+
+    Multiplying by 1 + X_g adds the degree-(k-1) terms, extended by g, into
+    degree k, walking the degrees downward; dividing by 1 + X_g solves
+    T[p g] = S[p g] - T[p] walking upward.  Either way a letter costs one
+    pass over the terms.
+    """
+    g = (abs(c) - 1,)
+    sign = 1 if c > 0 else -1
+    cap = len(levels) - 1
+    for k in (range(cap, 0, -1) if c > 0 else range(1, cap + 1)):
+        level = levels[k]
+        for p, coef in levels[k - 1].items():
+            q = p + g
+            coef = level.get(q, 0) + sign * coef
+            if coef:
+                level[q] = coef
+            else:
+                del level[q]
+
+
 def magnus_expand(w, cap):
     """Expansion of a word: product of the letter series, truncated.
 
     The constant term is always 1 (the letter series are units).  Each
-    letter updates the series in place: multiplying by 1 + X_g adds the
-    degree-(k-1) terms, extended by g, into degree k, walking the degrees
-    downward; dividing by 1 + X_g solves T[p g] = S[p g] - T[p] walking
-    upward.  Either way a letter costs one pass over the terms.
+    letter updates the series in place by ``_letter_step``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     levels = _one(cap)
-    up, down = range(1, cap + 1), range(cap, 0, -1)
     for c in w.letters:
-        g = (abs(c) - 1,)
-        sign = 1 if c > 0 else -1
-        for k in (down if c > 0 else up):
-            level = levels[k]
-            for p, coef in levels[k - 1].items():
-                q = p + g
-                coef = level.get(q, 0) + sign * coef
-                if coef:
-                    level[q] = coef
-                else:
-                    del level[q]
+        _letter_step(levels, c)
     return _series(levels, cap)
 
 
@@ -211,6 +233,56 @@ def bracket_expand(bracket, cap):
     return _series(expand(bracket, False, cap), cap)
 
 
+def _chain_product(factors, cap):
+    """The level list of a product of factors, each truncated at cap.
+
+    A factor is a signed letter code, applied by ``_letter_step``, or a
+    level list, multiplied in full.
+    """
+    levels = _one(cap)
+    for factor in factors:
+        if isinstance(factor, int):
+            _letter_step(levels, factor)
+        else:
+            levels = _mul_into(_zero(cap), levels, factor)
+    return levels
+
+
+def dag_expand(bracket, cap):
+    """Expansion of a commutator bracket at the full cap, node by node.
+
+    Equal to ``magnus_expand`` of the word the bracket spells.  Walks the
+    node list of ``words.bracket_nodes``, giving each node [u, v] the series
+
+        M([u, v]) = U V U^-1 V^-1  and its inverse  M([v, u]) = V U V^-1 U^-1
+
+    with every factor kept up to the cap: no weight-filtration cuts, so
+    this route shares no truncation arithmetic with ``bracket_expand``.
+    A leaf stays a letter code, applied by the one-pass letter step.
+    """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+
+    def join(a, b):
+        (u, u_inv), (v, v_inv) = a, b
+        return (_chain_product((u, v, u_inv, v_inv), cap),
+                _chain_product((v, u, v_inv, u_inv), cap))
+
+    root = _fold_bracket(bracket, lambda c: (c, -c), join)[0]
+    return _series(_chain_product((root,), cap), cap)
+
+
+def structural_weight(bracket):
+    """Weight of a bracket: 1 for a letter, wt(u) + wt(v) for [u, v].
+
+    Since [F_i, F_j] lies in F_(i+j) (Magnus, Karrass and Solitar,
+    *Combinatorial Group Theory*, ch. 5), the word a bracket spells lies
+    in F_m for every m up to this weight.  No series and no cap are
+    involved, so it proves membership where a truncation could not.
+    """
+    return _fold_bracket(bracket, lambda c: 1, add)
+
+
 def series_weight(series):
     """Lowest degree of series - 1, or AtLeast(cap + 1) if none is below the cap."""
     degree = min((len(m) for m in series.terms if m), default=None)
@@ -232,9 +304,20 @@ def lcs_weight(w, cap):
     Returns IDENTITY for the empty word, the exact weight when it is at
     most cap, and AtLeast(cap + 1) when the truncated expansion cannot
     tell -- the latter is an honest answer, not an error.
+
+    The expansion runs at caps 1, 2, 3, ... up to cap and stops at the
+    first that shows a term of positive degree.  Truncation is a ring map,
+    so the terms up to a smaller cap are those of the full expansion, and
+    the answer equals that of one expansion at cap.  The steps go up by one
+    because a word's expansion costs about twice as much per step in the
+    cap, so a doubled cap could cost far more than all smaller caps.
     """
     if not w:
         return IDENTITY
+    for step in range(1, cap):
+        weight = series_weight(magnus_expand(w, step))
+        if not isinstance(weight, AtLeast):
+            return weight
     return series_weight(magnus_expand(w, cap))
 
 

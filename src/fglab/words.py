@@ -293,16 +293,72 @@ def exponent_sums(w):
 XY = Alphabet(("x", "y"))
 
 
-def bracket_word(bracket, alphabet):
-    """The freely reduced word a commutator bracket spells.
+def bracket_nodes(bracket):
+    """Compile a commutator bracket into its post-order node list.
 
     A bracket is a signed letter code (as in ``Word.letters``) or a pair
-    ``(u, v)`` of brackets standing for ``[u, v]``.
+    ``(u, v)`` of brackets standing for ``[u, v]``.  Entry i of the list is
+    a leaf code, or a pair ``(j, k)`` of smaller indices standing for
+    ``[node j, node k]``; the root comes last.  A sub-bracket that occurs
+    more than once as the same object is listed once, so the list is the
+    straight-line program of the bracket.  The walk keeps its own stack,
+    so nesting depth costs no recursion.
     """
-    if isinstance(bracket, tuple):
-        u, v = bracket
-        return commutator(bracket_word(u, alphabet), bracket_word(v, alphabet))
-    return Word(alphabet, (bracket,), reduced=True)
+    index, nodes, stack = {}, [], [bracket]
+    while stack:
+        node = stack[-1]
+        if id(node) in index:
+            stack.pop()
+            continue
+        if isinstance(node, tuple):
+            u, v = node
+            pending = [c for c in (v, u) if id(c) not in index]
+            if pending:
+                stack += pending
+                continue
+            entry = (index[id(u)], index[id(v)])
+        else:
+            entry = node
+        stack.pop()
+        # every node stays referenced by the bracket, so its id is not reused
+        index[id(node)] = len(nodes)
+        nodes.append(entry)
+    return nodes
+
+
+def _fold_bracket(bracket, leaf, join):
+    """Evaluate a bracket bottom-up over ``bracket_nodes``.
+
+    ``leaf(code)`` gives the value of a leaf and ``join(a, b)`` the value of
+    ``[u, v]`` from the values of u and v.  Each distinct node is evaluated
+    once, and its value is dropped after its last use.  Private because it
+    runs its callers' work: timing by public function charges that work
+    to the caller.
+    """
+    nodes = bracket_nodes(bracket)
+    uses = [0] * len(nodes)
+    for entry in nodes:
+        if isinstance(entry, tuple):
+            for i in entry:
+                uses[i] += 1
+    values = []
+    for entry in nodes:
+        if isinstance(entry, tuple):
+            j, k = entry
+            values.append(join(values[j], values[k]))
+            for i in entry:
+                uses[i] -= 1
+                if not uses[i]:
+                    values[i] = None
+        else:
+            values.append(leaf(entry))
+    return values[-1]
+
+
+def bracket_word(bracket, alphabet):
+    """The freely reduced word a commutator bracket (see ``bracket_nodes``) spells."""
+    return _fold_bracket(bracket, lambda c: Word(alphabet, (c,), reduced=True),
+                         commutator)
 
 
 def omega_bracket(n):

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from fglab import magnus
-from fglab.cli import main
+from fglab.cli import MAX_WITNESS_M, main
 
 FIXTURES = resources.files("fglab") / "fixtures"
 
@@ -236,10 +236,33 @@ class TestWitness:
         assert main(["witness", "--d", "3", "--m", "3"]) == 1
         assert "G_2 re-check" in capsys.readouterr().err
 
+    def test_fm_recheck_catches_a_wrong_weight(self, capsys, monkeypatch):
+        from fglab import engine
+        issue = engine.witness
+
+        def raised(d, m):
+            cert = issue(d, m)
+            return dataclasses.replace(cert, weight=cert.weight + 1)
+        monkeypatch.setattr(engine, "witness", raised)
+        assert main(["witness", "--d", "3", "--m", "4"]) == 1
+        assert "F_m re-check" in capsys.readouterr().err
+
     def test_m_over_the_word_bound_exit_2(self, capsys):
         assert main(["witness", "--d", "3", "--m", "30"]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: omega_28 has 2^30 + 2 letters")
+            "error: m must be at most %d, got 30" % MAX_WITNESS_M)
+
+    def test_m_over_the_recheck_bound_exit_2(self, capsys, monkeypatch):
+        from fglab import engine
+
+        def no_certificate(*args):
+            raise AssertionError("the certificate was built")
+
+        monkeypatch.setattr(engine, "witness", no_certificate)
+        m = MAX_WITNESS_M + 1
+        assert main(["witness", "--d", "3", "--m", str(m)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: m must be at most %d, got %d" % (m - 1, m))
 
     def test_d_over_the_kernel_cap_exit_2(self, capsys, monkeypatch):
         from fglab import stallings

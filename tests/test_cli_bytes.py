@@ -43,6 +43,9 @@ def battery():
             args = ["witness", "--d", str(d), "--m", str(m)]
             yield "witness", ["--json"] + args
             yield "witness", args
+    for d in (2, 3, 5):
+        for m in (10, 11, 12):
+            yield "witness", ["--json", "witness", "--d", str(d), "--m", str(m)]
     yield "verify", ["--json", "verify"]
     yield "verify", ["verify", "--d-max", "16"]
     for d in (2, 3, 5, 16):
@@ -507,6 +510,15 @@ ee69adf164e330b510dd07258f765b5d0682c310e834c6bd0769e565d697c689  --json witness
 5a87d643be58159b89018718200ba080f9d262c4a9889b9714dc2a7a2e5978a8  witness --d 16 --m 8
 e5affa38ef941dc18f39816e462eeb151271cd34ebed1bef492e4728212285c6  --json witness --d 16 --m 9
 55a3d15c4af85416dc69faede0530b53e3b04e54d7049c01c715b031e3fdfac8  witness --d 16 --m 9
+91be0350b9fcddb1e46180edcdf182e0fe2fa2a17f1dd040df9bd0027cf40ad2  --json witness --d 2 --m 10
+47699c99e88e3fb3260174c9081f2f2338fe43ad798492c268fd295d5260be89  --json witness --d 2 --m 11
+00acd5ff11f3570868f2c3f1ac718d2ddc4e10dcda50d900d756d62487cffc2b  --json witness --d 2 --m 12
+0eb4bb677a40b967ed43436e5aee2cbf6b837f7ebd79dbb367a8d752763e4053  --json witness --d 3 --m 10
+e206d5094f385123016a86527d820af5d46e9a9c6d748a8a174cae948a3c93b0  --json witness --d 3 --m 11
+d0db485ee325646917b8b8da7065acd4e515dfebe4e2070c6e78ef431231138a  --json witness --d 3 --m 12
+66e245a64f58d3b5b5c6c3865e1a0d808fded34f32931c74f0fa56629db10bdb  --json witness --d 5 --m 10
+5188bc7a9a032a9f9b33950774e6be1c7c8f5dfe105ad7da133dea376d47ee64  --json witness --d 5 --m 11
+afb69ffe839cd37abeee55c59cb1612ff92ecda70a6cd02a1c8f7fb61fec676b  --json witness --d 5 --m 12
 839ed27b61507e8c6a9dd9ee72c06c2d46852224c62d45e0fecceccc03c3dee9  --json verify
 5eb88ad689d1226e07301eb06062afe6bc14c7e8aa80ca0ad42e7097f60e0c49  verify --d-max 16
 e08ceb69e4471b5fc37b5b2b49f8cdfe4f6d68ea9901fa2a7eea6cd5b831ed30  subgroup rewrite kernel_2_1_0.json omega(0)

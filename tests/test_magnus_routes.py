@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglab import engine
-from fglab.magnus import (AtLeast, NoncommSeries, bracket_expand, lcs_weight,
-                          magnus_expand, series_mul, series_one, series_weight)
-from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
-                         generator, multiply, omega, omega_bracket)
+from fglab import engine, magnus
+from fglab.cli import main
+from fglab.magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
+                          dag_expand, lcs_weight, magnus_expand, series_mul,
+                          series_one, series_weight, structural_weight)
+from fglab.words import (XY, Alphabet, Word, bracket_nodes, bracket_word,
+                         commutator, generator, multiply, omega, omega_bracket)
 
 RANKS = {rank: Alphabet("xyz"[:rank]) for rank in (1, 2, 3)}
 
@@ -28,9 +30,38 @@ def brackets(draw):
 
 
 @st.composite
-def words(draw):
+def shared_brackets(draw):
+    """A bracket whose nodes pair earlier nodes, so sub-brackets may be shared."""
     rank = draw(st.integers(1, 3))
-    return Word(RANKS[rank], draw(st.lists(codes(rank), max_size=20)))
+    pool = draw(st.lists(codes(rank), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = (draw(st.integers(0, len(pool) - 1)) for _ in range(2))
+        pool.append((pool[i], pool[j]))
+    return rank, pool[-1]
+
+
+@st.composite
+def words(draw, max_size=20):
+    rank = draw(st.integers(1, 3))
+    return Word(RANKS[rank], draw(st.lists(codes(rank), max_size=max_size)))
+
+
+def spelled(bracket, alphabet):
+    """The oracle: the word a bracket spells, by recursion on the tree."""
+    if isinstance(bracket, tuple):
+        u, v = bracket
+        return commutator(spelled(u, alphabet), spelled(v, alphabet))
+    return Word(alphabet, (bracket,))
+
+
+def distinct_nodes(bracket, seen=None):
+    """The number of distinct node objects in a bracket."""
+    seen = set() if seen is None else seen
+    seen.add(id(bracket))
+    if isinstance(bracket, tuple):
+        for child in bracket:
+            distinct_nodes(child, seen)
+    return len(seen)
 
 
 def letter_series(code, cap):
@@ -52,6 +83,66 @@ def test_bracket_route_equals_flat_route(rank_bracket, cap):
     rank, bracket = rank_bracket
     word = bracket_word(bracket, RANKS[rank])
     assert bracket_expand(bracket, cap) == magnus_expand(word, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_brackets())
+def test_node_list_lists_each_shared_node_once(rank_bracket):
+    rank, bracket = rank_bracket
+    nodes = bracket_nodes(bracket)
+    assert len(nodes) == distinct_nodes(bracket)
+    for i, node in enumerate(nodes):
+        if isinstance(node, tuple):
+            assert max(node) < i
+    assert bracket_word(bracket, RANKS[rank]) == spelled(bracket, RANKS[rank])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_brackets(), st.integers(1, 8))
+def test_dag_route_equals_bracket_and_flat_routes(rank_bracket, cap):
+    rank, bracket = rank_bracket
+    word = bracket_word(bracket, RANKS[rank])
+    assert dag_expand(bracket, cap) == bracket_expand(bracket, cap) == \
+        magnus_expand(word, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_brackets(), st.integers(1, 8))
+def test_structural_weight_bounds_magnus_weight(rank_bracket, cap):
+    rank, bracket = rank_bracket
+    weight = series_weight(dag_expand(bracket, cap))
+    # AtLeast(cap + 1) leaves the weight open above the cap
+    if not isinstance(weight, AtLeast):
+        assert structural_weight(bracket) <= weight
+
+
+@settings(max_examples=300, deadline=None)
+@given(words(max_size=12), st.integers(1, 12))
+def test_stepped_caps_equal_one_expansion(word, cap):
+    one_expansion = series_weight(magnus_expand(word, cap)) if word else IDENTITY
+    assert lcs_weight(word, cap) == one_expansion
+
+
+def test_node_list_routes_need_no_recursion():
+    bracket = omega_bracket(5000)
+    assert structural_weight(bracket) == 5002
+    assert series_weight(dag_expand(bracket, 3)) == AtLeast(4)
+
+
+def test_witness_fails_when_the_dag_route_drops_a_factor(capsys, monkeypatch):
+    chain_product = magnus._chain_product
+    monkeypatch.setattr(magnus, "_chain_product",
+                        lambda factors, cap: chain_product(factors[:-1], cap))
+    assert main(["witness", "--d", "3", "--m", "5"]) == 1
+    assert "F_m re-check failed: the DAG expansion" in capsys.readouterr().err
+
+
+def test_witness_fails_on_a_structural_weight_off_by_one(capsys, monkeypatch):
+    weight = magnus.structural_weight
+    monkeypatch.setattr(magnus, "structural_weight", lambda b: weight(b) - 1)
+    assert main(["witness", "--d", "3", "--m", "5"]) == 1
+    assert "F_m re-check failed: structural weight 4 < 5" in \
+        capsys.readouterr().err
 
 
 @settings(max_examples=300, deadline=None)
