@@ -319,19 +319,18 @@ class WitnessCertificate:
         }
 
 
-def witness(d, m, cap=None):
+def witness(d, m):
     """Certificate that F_m is not inside [G, G]: the word omega_(m-2).
 
     Verifies, before issuing, that the word's Magnus weight is at least m
-    (exactly m whenever the cap permits) and that its P-vector is nonzero.
+    and that its P-vector is nonzero.
     The weight comes from one expansion of the bracket ``omega_bracket(m-2)``
     by the weight filtration; the witness ``omega(m-2)`` is the word that
     bracket spells.
-    The default cap m + 1 pins the weight exactly; a cap below m raises
-    ValueError, since it cannot certify membership in F_m.  So does a d
-    above ``stallings.MAX_KERNEL_D``, before any graph is built, and an m
-    whose word would exceed ``words.MAX_WORD_LETTERS`` (m >= 26), before
-    any expansion.
+    The expansion runs at cap m + 1, which pins the weight exactly.  A d
+    above ``stallings.MAX_KERNEL_D`` raises ValueError before any graph is
+    built, and so does an m whose word would exceed
+    ``words.MAX_WORD_LETTERS`` (m >= 26), before any expansion.
     """
     if m < 2:
         raise ValueError("m must be >= 2 (G_1 = G is not constrained)")
@@ -340,8 +339,7 @@ def witness(d, m, cap=None):
         raise ValueError("d must be at most %d, got %d"
                          % (stallings.MAX_KERNEL_D, d))
     word = omega(m - 2)
-    if cap is None:
-        cap = m + 1
+    cap = m + 1
     bracket = omega_bracket(m - 2)
     weight = magnus.series_weight(magnus.bracket_expand(bracket, cap))
     if not magnus.weight_reaches(weight, m, cap):

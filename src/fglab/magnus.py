@@ -13,12 +13,14 @@ expansion:
 
 * ``magnus_expand`` walks the letters of a word, one pass over the terms
   per letter.  ``lcs_weight`` and ``in_lcs`` use it.
-* ``bracket_expand`` works on a commutator bracket by the weight
-  filtration, truncating each factor as low as the bracket's weights
-  allow.  It issues the F_m verdict of a witness certificate.
-* ``dag_expand`` walks the bracket's node list and keeps every factor up
-  to the full cap, sharing no truncation arithmetic with
-  ``bracket_expand``.  It re-checks that verdict.
+* ``bracket_expand`` folds a commutator bracket's node list by the weight
+  filtration, cutting each node at its weight plus the slack
+  cap - wt(bracket).  Its leaves are the closed-form letter series.  It
+  issues the F_m verdict of a witness certificate.
+* ``dag_expand`` folds the same node list, keeping every factor up to the
+  full cap and applying leaves by the letter step, so it shares neither
+  truncation arithmetic nor leaf code with ``bracket_expand``.  It
+  re-checks that verdict.
 
 The two bracket routes cost what the bracket and the cap cost, not the
 length of the word the bracket spells, which doubles with each level of
@@ -149,12 +151,13 @@ def magnus_expand(w, cap):
     return _series(levels, cap)
 
 
-def _letter_levels(var, sign, cap):
-    if sign < 0:
-        return [{(var,) * k: (-1) ** k} for k in range(cap + 1)]
+def _letter_levels(c, cap):
+    """The level list of letter c's series, in closed form."""
+    if c < 0:
+        return [{(-c - 1,) * k: (-1) ** k} for k in range(cap + 1)]
     levels = _one(cap)
     if cap:
-        levels[1] = {(var,): 1}
+        levels[1] = {(c - 1,): 1}
     return levels
 
 
@@ -184,53 +187,47 @@ def bracket_expand(bracket, cap):
 
     Equal to ``magnus_expand`` of the word the bracket spells, but computed
     on the bracket by the weight filtration (Magnus, Karrass and Solitar,
-    *Combinatorial Group Theory*, ch. 5).  Give a letter weight 1 and
-    [u, v] the weight wt(u) + wt(v); M(b) - 1 then has no term below
-    degree wt(b).  With U = M(u), V = M(v),
+    *Combinatorial Group Theory*, ch. 5).  With ``structural_weight`` wt,
+    M(b) - 1 has no term below degree wt(b), and with U = M(u), V = M(v),
 
         M([u, v]) - 1 = (UV - VU) U^-1 V^-1,
 
-    where U is needed only up to degree cap - wt(v), V up to cap - wt(u),
-    and the inverses, which are M([u, v]^-1) = M([v, u]) for brackets,
-    up to cap - wt(u) - wt(v).  Results are memoised per node and cap.
+    so if M([u, v]) is needed up to degree T, U is needed only up to
+    T - wt(v), V up to T - wt(u) and both inverses up to T - wt(u) - wt(v).
+    The sibling weights on the path from the root to a node b sum to
+    wt(root) - wt(b), so with the slack s = cap - wt(root) b is needed up
+    to wt(b) + s and its inverse up to s, whichever parent asks: one value
+    per node, from one fold over ``words.bracket_nodes``.  The inverse has
+    M([v, u]) - 1 = -(UV - VU) V^-1 U^-1, reusing the difference; it is 1
+    when wt(b) > s.
+
+    Leaves take the closed form of ``_letter_levels``, not the letter step
+    of ``magnus_expand`` and ``dag_expand``, so the issuer shares no leaf
+    code with the routes that re-check it.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    weights = {}
-    memo = {}
+    slack = cap - structural_weight(bracket)
+    if slack < 0:
+        return series_one(cap)
 
-    def weight(node):
-        if not isinstance(node, tuple):
-            return 1
-        key = id(node)
-        if key not in weights:
-            weights[key] = weight(node[0]) + weight(node[1])
-        return weights[key]
+    def leaf(c):
+        return 1, _letter_levels(c, 1 + slack), _letter_levels(-c, slack)
 
-    def expand(node, inverted, top):
-        if not isinstance(node, tuple):
-            sign = -1 if (node < 0) != inverted else 1
-            return _letter_levels(abs(node) - 1, sign, top)
-        key = (id(node), inverted, top)
-        if key in memo:
-            return memo[key]
-        u, v = node[::-1] if inverted else node
-        wu, wv = weight(u), weight(v)
-        rest = top - wu - wv
-        if rest < 0:
-            levels = _one(top)
-        else:
-            big_u, big_v = expand(u, False, top - wv), expand(v, False, top - wu)
-            # UV - VU = (U - 1)(V - 1) - (V - 1)(U - 1)
-            uv_vu = _mul_into(_zero(top), big_u, big_v, 1, 1)
-            _mul_into(uv_vu, big_v, big_u, -1, 1)
-            inverses = _mul_into(_zero(rest), expand(u, True, rest),
-                                 expand(v, True, rest))
-            levels = _mul_into(_one(top), uv_vu, inverses)
-        memo[key] = levels
-        return levels
+    def join(a, b):
+        (wu, big_u, u_inv), (wv, big_v, v_inv) = a, b
+        wt = wu + wv
+        # UV - VU = (U - 1)(V - 1) - (V - 1)(U - 1)
+        uv_vu = _mul_into(_zero(wt + slack), big_u, big_v, 1, 1)
+        _mul_into(uv_vu, big_v, big_u, -1, 1)
+        levels = _mul_into(_one(wt + slack), uv_vu,
+                           _mul_into(_zero(slack), u_inv, v_inv))
+        if wt > slack:
+            return wt, levels, _one(slack)
+        return wt, levels, _mul_into(_one(slack), uv_vu,
+                                     _mul_into(_zero(slack), v_inv, u_inv), -1)
 
-    return _series(expand(bracket, False, cap), cap)
+    return _series(_fold_bracket(bracket, leaf, join)[1], cap)
 
 
 def _chain_product(factors, cap):

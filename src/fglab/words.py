@@ -129,8 +129,8 @@ class Word:
 
     __slots__ = ("alphabet", "letters")
 
-    def __init__(self, alphabet, letters=(), reduced=False):
-        letters = tuple(letters) if reduced else free_reduce(letters)
+    def __init__(self, alphabet, letters=()):
+        letters = free_reduce(letters)
         n = len(alphabet)
         if letters and (0 in letters or max(letters) > n or min(letters) < -n):
             bad = next(c for c in letters if c == 0 or abs(c) > n)
@@ -357,8 +357,7 @@ def _fold_bracket(bracket, leaf, join):
 
 def bracket_word(bracket, alphabet):
     """The freely reduced word a commutator bracket (see ``bracket_nodes``) spells."""
-    return _fold_bracket(bracket, lambda c: Word(alphabet, (c,), reduced=True),
-                         commutator)
+    return _fold_bracket(bracket, lambda c: Word(alphabet, (c,)), commutator)
 
 
 def omega_bracket(n):

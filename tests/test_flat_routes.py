@@ -196,7 +196,7 @@ def test_word_rejects_out_of_range_codes():
         with pytest.raises(ValueError, match="letter code out of range"):
             Word(RANKS[2], letters)
     with pytest.raises(ValueError, match=r"out of range: 0\Z"):
-        Word(RANKS[2], [1, 0, 4], reduced=True)
+        Word(RANKS[2], [1, 0, 4])
     # codes that cancel away never reach the check, as before
     assert Word(RANKS[2], [5, -5]).letters == ()
 

@@ -1,12 +1,13 @@
 """Property tests: the bracket and flat Magnus routes against plain oracles."""
 
+import tracemalloc
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglab import engine, magnus
+from fglab import magnus
 from fglab.cli import main
 from fglab.magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
                           dag_expand, lcs_weight, magnus_expand, series_mul,
@@ -127,6 +128,19 @@ def test_node_list_routes_need_no_recursion():
     bracket = omega_bracket(5000)
     assert structural_weight(bracket) == 5002
     assert series_weight(dag_expand(bracket, 3)) == AtLeast(4)
+    assert series_weight(bracket_expand(bracket, 3)) == AtLeast(4)
+
+
+def test_bracket_route_keeps_only_live_nodes():
+    # the fold holds the series of live nodes only, about 0.5 MB here;
+    # the series of every node would take several MB
+    tracemalloc.start()
+    try:
+        bracket_expand(omega_bracket(60), 63)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_witness_fails_when_the_dag_route_drops_a_factor(capsys, monkeypatch):
@@ -143,6 +157,15 @@ def test_witness_fails_on_a_structural_weight_off_by_one(capsys, monkeypatch):
     assert main(["witness", "--d", "3", "--m", "5"]) == 1
     assert "F_m re-check failed: structural weight 4 < 5" in \
         capsys.readouterr().err
+
+
+def test_witness_fails_when_the_issuer_slack_is_too_small(capsys, monkeypatch):
+    # the issuer truncates at cap - structural_weight; too small a slack
+    # leaves it an AtLeast that only the DAG re-check can catch
+    weight = magnus.structural_weight
+    monkeypatch.setattr(magnus, "structural_weight", lambda b: weight(b) + 2)
+    assert main(["witness", "--d", "3", "--m", "5"]) == 1
+    assert "F_m re-check failed: the DAG expansion" in capsys.readouterr().err
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,11 +189,6 @@ def test_omega_bracket_spells_omega():
     for n in range(13):
         assert bracket_word(omega_bracket(n), XY) == omega(n) == left_normed
         left_normed = commutator(left_normed, x)
-
-
-def test_witness_rejects_cap_below_m():
-    with pytest.raises(ValueError):
-        engine.witness(3, 5, cap=4)
 
 
 @pytest.mark.parametrize("n", range(6))
