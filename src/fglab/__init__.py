@@ -13,8 +13,8 @@ from .words import (Alphabet, ParseError, Word, bracket_nodes, bracket_word,
 from .stallings import (INFINITE, InfiniteIndexError, NotInSubgroupError,
                         SchreierBasis, SubgroupGraph, Transversal, build_graph,
                         contains, evaluate, from_json, in_derived_subgroup,
-                        index, is_normal, kernel_graph, restrict_kernel,
-                        rewrite, schreier_basis, schreier_transversal)
+                        index, is_normal, kernel_graph, rewrite,
+                        schreier_basis, schreier_transversal)
 from .magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
                      dag_expand, in_lcs, lcs_weight, magnus_expand, series_mul,
                      series_one, series_weight, structural_weight,

@@ -26,6 +26,9 @@ RECURRENCE_N_CAP = 8
 # witness re-checks F_m by magnus.dag_expand, whose cost grows about 2.3x
 # per step in m (about 5 s at m = 16)
 MAX_WITNESS_M = 16
+# verify's char_poly and eigen checks cost about d^3 each, so a battery up
+# to d_max costs about d_max^4 (about 65 s at 200 on 2 vCPUs)
+MAX_VERIFY_D = 200
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -293,7 +296,8 @@ def build_parser():
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="run the full verification battery")
-    p.add_argument("--d-max", type=_positive(2), default=DEFAULT_D_MAX)
+    p.add_argument("--d-max", type=_positive(2, MAX_VERIFY_D),
+                   default=DEFAULT_D_MAX)
     p.add_argument("--n-max", type=_positive(1), default=DEFAULT_N_MAX)
     p.set_defaults(func=cmd_verify)
 

@@ -9,9 +9,9 @@ central term of F lands inside [G, G]:
 * exponent-sum vectors of the witness words through actual rewriting,
   cross-checked by counting y letters per x-residue,
 * the d x d integer transition matrix, the chain v_(n+1) = A v_n of
-  exponent vectors, its characteristic polynomial (Bareiss determinants
-  at d + 1 points) and eigenpairs (verified in the exact ring
-  Q[t]/(t^d - 1)),
+  exponent vectors, its characteristic polynomial (determinants at d + 1
+  points, by fraction-free elimination over the nonzero entries only)
+  and eigenpairs (verified in the exact ring Q[t]/(t^d - 1)),
 * a proof that A^n v_0 != 0 for every n, from the kernel of A,
 * witness certificates: explicit words in F_m \\ [G, G].
 
@@ -149,29 +149,41 @@ def verify_recurrence(spec, n_max):
 # -- characteristic polynomial, by exact determinants ------------------------
 
 def _det(m):
-    """Exact determinant of a square integer matrix by Bareiss elimination.
+    """Exact determinant of a square integer matrix, reading only nonzeros.
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968): after step k every entry
-    below and right of the pivot is a (k+2)-minor of the input, so each
-    division is exact and all arithmetic stays in the integers.  A zero
-    pivot is swapped with a nonzero entry below it, which flips the sign.
+    Each row is a {column: value} dict of its nonzero entries.  Column k
+    pivots on the sparsest remaining row with a nonzero there, ties broken
+    by the smallest |entry| (on A - lambda I that keeps every pivot but the
+    last at 1 or -1).  Elimination is fraction-free: a row r with entry e in
+    column k becomes p r - e q for the pivot row q and pivot p, which
+    scales the determinant by p.  The triangular form's determinant, the
+    pivots' product, is then divided exactly by the product of the scales.
     """
-    a = [list(row) for row in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[-1][-1] if n else 1
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
+    det, scale = 1, 1
+    for k in range(len(rows)):
+        live = [i for i in range(k, len(rows)) if k in rows[i]]
+        if not live:
+            return 0
+        i = min(live, key=lambda i: (len(rows[i]), abs(rows[i][k])))
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            det = -det
+        pivot = rows[k].pop(k)
+        det *= pivot
+        for row in rows[k + 1:]:
+            e = row.pop(k, 0)
+            if e:
+                scale *= pivot
+                for j in row:
+                    row[j] *= pivot
+                for j, q in rows[k].items():
+                    x = row.get(j, 0) - e * q
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+    return det // scale
 
 
 def char_poly_check(d):
@@ -182,29 +194,12 @@ def char_poly_check(d):
     """
     a = transition_matrix(d)
     return all(
-        _det([[a[i][j] - lam * (i == j) for j in range(d)] for i in range(d)])
+        _det([row[:i] + (row[i] - lam,) + row[i + 1:] for i, row in enumerate(a)])
         == (1 - lam) ** d - 1
         for lam in range(d + 1))
 
 
 # -- eigenpairs, exact in Q[t]/(t^d - 1) -------------------------------------
-
-def cyc_mul(a, b, d):
-    """Product in Q[t]/(t^d - 1); elements are length-d coefficient tuples."""
-    out = [0] * d
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[(i + j) % d] += ai * bj
-    return tuple(out)
-
-
-def _cyc_monomial(k, d):
-    out = [0] * d
-    out[k % d] = 1
-    return tuple(out)
-
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -218,23 +213,27 @@ class EigenPair:
 def eigen_check(d):
     """Verify A x_j = (1 - t^j) x_j componentwise, exactly, for j = 1..d.
 
-    x_j has components t^(-kj) down the column (so the first entry is 1).
+    Elements of Q[t]/(t^d - 1) are length-d coefficient tuples.  x_j has
+    components t^(-kj) down the column (so the first entry is 1); the d
+    monomial tuples are built once and shared by every pair.
     Raises if any identity fails; the theorem's spectral step rests on it.
     """
-    a = transition_matrix(d)
-    one = _cyc_monomial(0, d)
+    rows = [{k: x for k, x in enumerate(row) if x} for row in transition_matrix(d)]
+    monomials = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     pairs = []
     for j in range(1, d + 1):
-        eigenvalue = tuple(o - m for o, m in zip(one, _cyc_monomial(j, d)))
-        vector = tuple(_cyc_monomial(-k * j, d) for k in range(d))
+        eigenvalue = tuple(o - m for o, m in zip(monomials[0], monomials[j % d]))
+        vector = tuple(monomials[-k * j % d] for k in range(d))
         ok = True
-        for i, row in enumerate(a):
-            # x_j[k] = t^(-kj), so row i of A x_j scatters row i of A
-            # onto those powers of t
+        for i, row in enumerate(rows):
+            # row i of A x_j scatters the nonzeros of row i of A onto the
+            # powers t^(-kj); the right side, the eigenvalue times the
+            # monomial x_j[i] = t^(-ij), is the eigenvalue turned ij places
             lhs = [0] * d
-            for k, entry in enumerate(row):
+            for k, entry in row.items():
                 lhs[-k * j % d] += entry
-            if tuple(lhs) != cyc_mul(eigenvalue, vector[i], d):
+            turn = i * j % d
+            if tuple(lhs) != eigenvalue[turn:] + eigenvalue[:turn]:
                 ok = False
         pairs.append(EigenPair(j=j, eigenvalue=eigenvalue,
                                eigenvector=vector, ok=ok))

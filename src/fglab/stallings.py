@@ -256,16 +256,6 @@ def kernel_graph(f, d, alphabet):
     return SubgroupGraph(alphabet, steps)
 
 
-def restrict_kernel(f, d, sub):
-    """Kernel graph of f restricted to the sub-alphabet ``sub``.
-
-    ``sub`` is a list of generator names; the result lives over the new
-    alphabet Alphabet(sub).  Fails if the restriction is no longer onto Z_d.
-    """
-    sub_alphabet = Alphabet(sub)
-    return kernel_graph({name: f[name] for name in sub_alphabet}, d, sub_alphabet)
-
-
 @dataclass(frozen=True)
 class Transversal:
     """Schreier transversal from a BFS spanning tree.

@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 
 from fglab import magnus
-from fglab.cli import MAX_WITNESS_M, main
+from fglab.cli import MAX_VERIFY_D, MAX_WITNESS_M, build_parser, main
 
 FIXTURES = resources.files("fglab") / "fixtures"
 
@@ -332,6 +332,24 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--d-max", "1"])
         assert err.value.code == 2
+
+    def test_d_max_over_the_bound_exit_2(self, capsys, monkeypatch):
+        from fglab import engine
+
+        def no_check(*args):
+            raise AssertionError("a check ran")
+
+        for name in ("verify_recurrence", "char_poly_check", "eigen_check",
+                     "nonvanishing_check"):
+            monkeypatch.setattr(engine, name, no_check)
+        args = build_parser().parse_args(
+            ["verify", "--d-max", str(MAX_VERIFY_D)])
+        assert args.d_max == MAX_VERIFY_D
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--d-max", str(MAX_VERIFY_D + 1)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --d-max: must be <= %d\n" % MAX_VERIFY_D)
 
 
 class TestJsonStability:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -157,7 +158,7 @@ def fraction_det(m):
 
 
 @st.composite
-def square_matrices(draw):
+def dense_matrices(draw):
     size = draw(st.integers(0, 7))
     # small entries make zero pivots and singular matrices common
     rows = [draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
@@ -167,8 +168,23 @@ def square_matrices(draw):
     return rows
 
 
+@st.composite
+def banded_matrices(draw):
+    """The shape of A - lambda I: a diagonal, a subdiagonal and a corner."""
+    size = draw(st.integers(1, 12))
+    entry = st.integers(-3, 3)
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = draw(entry)
+        rows[i][i - 1] += draw(entry)   # row 0 gets the corner (0, size - 1)
+    return rows
+
+
+square_matrices = st.one_of(dense_matrices(), banded_matrices())
+
+
 class TestDeterminant:
-    @given(square_matrices())
+    @given(square_matrices)
     def test_matches_rational_elimination(self, m):
         assert engine._det(m) == fraction_det(m)
 
@@ -202,6 +218,17 @@ class TestEigen:
     def test_d3_kernel_vector_is_all_ones(self):
         pairs = eigen_check(3)
         assert pairs[-1].eigenvector == ((1, 0, 0),) * 3
+
+    def test_memory_stays_quadratic(self):
+        # the pairs share the d monomial tuples, so the peak holds about d^2
+        # entries; a fresh tuple per eigenvector component would hold d^3
+        tracemalloc.start()
+        try:
+            eigen_check(100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
     def test_perturbed_matrix_fails(self, monkeypatch):
         # the extra entry adds t^0 to row 2 of A x_j, for every j

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from fglab.stallings import (INFINITE, NotInSubgroupError, build_graph,
                              contains, evaluate, from_json,
                              in_derived_subgroup, index, is_normal,
-                             kernel_graph, restrict_kernel, rewrite,
-                             schreier_basis, schreier_transversal)
+                             kernel_graph, rewrite, schreier_basis,
+                             schreier_transversal)
 from fglab.words import (XY, Alphabet, Word, commutator, exponent_sums,
                          identity, inverse, multiply, parse_word)
 
@@ -342,25 +342,6 @@ class TestKernelGraph:
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
             kernel_graph({"x": 1, "y": 0}, 1, XY)
-
-
-class TestRestrictKernel:
-    def test_rank5_restriction(self):
-        names = ["x1", "x2", "x3", "x4", "x5"]
-        f = {n: 0 for n in names}
-        f["x1"] = 1
-        for d in (2, 3, 5):
-            g = restrict_kernel(f, d, ["x1", "x2"])
-            assert index(g) == d
-            assert list(g.alphabet) == ["x1", "x2"]
-
-    def test_whole_alphabet_matches_kernel_graph(self):
-        f = {"x": 1, "y": 0}
-        assert restrict_kernel(f, 3, ["x", "y"]) == kernel_graph(f, 3, XY)
-
-    def test_non_surjective_restriction(self):
-        with pytest.raises(ValueError):
-            restrict_kernel({"x1": 1, "x2": 0}, 2, ["x2"])
 
 
 class TestTransversal:
