@@ -10,9 +10,11 @@ Graphs are immutable after construction; every query is pure.
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
+from operator import itemgetter
 
-from .words import Alphabet, Word, _word, exponent_sums, inverse, multiply
+from .words import (Alphabet, Word, _word, exponent_sums, inverse, multiply,
+                    parse_words)
 
 #: Distinguished return value of :func:`index` for infinite-index subgroups.
 INFINITE = math.inf
@@ -110,17 +112,17 @@ def build_graph(generators, alphabet):
     yields an identical graph.  Empty/identity generators are dropped; an
     empty list gives the trivial subgroup's one-vertex graph.
 
-    Each generator is read from the base along existing edges, forwards
-    from its start and backwards from its end, and only the letters in
-    between become new vertices.  An edge u -c-> v is stored as
-    ``adj[u][c] = v`` and ``adj[v][-c] = u``; two c-edges at one vertex make
-    a pair of vertices to merge, and one union-find stack merges them.
-    Folding already yields the core: each generator is reduced, so every
-    vertex but the base lies inside a non-backtracking closed path and has
-    degree at least 2.
+    The fold fills the columns ``steps[c]`` of ``SubgroupGraph``.  Each
+    generator is read from the base along existing edges, forwards from its
+    start and backwards from its end; only the letters in between add new
+    vertices.  Two c-edges at one vertex make a pair of vertices to merge,
+    and one union-find stack merges them.  Folding already yields the core:
+    each generator is reduced, so every vertex but the base lies inside a
+    non-backtracking closed path and has degree at least 2.
     """
-    width = 2 * len(alphabet) + 1
-    adj, parent, pending = [[None] * width], [0], []
+    codes = _codes(range(len(alphabet)))
+    steps = [[None] for _ in range(len(codes) + 1)]
+    columns, parent, pending, merged = steps[1:], [0], [], []
 
     def find(v):
         while parent[v] != v:
@@ -132,28 +134,30 @@ def build_graph(generators, alphabet):
             raise ValueError("generator %r not over %r" % (w, alphabet))
         letters = w.letters
         u, i = 0, 0
-        while i < len(letters) and adj[u][letters[i]] is not None:
-            u, i = find(adj[u][letters[i]]), i + 1
+        while i < len(letters) and steps[letters[i]][u] is not None:
+            u, i = find(steps[letters[i]][u]), i + 1
         v, j = 0, len(letters)
-        while j > i and adj[v][-letters[j - 1]] is not None:
-            v, j = find(adj[v][-letters[j - 1]]), j - 1
+        while j > i and steps[-letters[j - 1]][v] is not None:
+            v, j = find(steps[-letters[j - 1]][v]), j - 1
         if i == j:
             # the whole generator reads as the paths 0 -> u and v -> 0
             pending.append((u, v))
         else:
-            for c in letters[i:j - 1]:
-                x = len(adj)
-                adj.append([None] * width)
-                parent.append(x)
-                adj[u][c], adj[x][-c] = x, u
+            first, fresh = len(parent), j - 1 - i
+            parent += range(first, first + fresh)
+            for column in columns:
+                column += [None] * fresh
+            # the table shares parent's int objects for the new vertices
+            for c, x in zip(letters[i:j - 1], parent[first:]):
+                steps[c][u], steps[-c][x] = x, u
                 u = x
             # u has no c-edge: it is fresh and w is reduced, or it ended the
             # forward read.  v has a -c edge only if the new path left v
             # along -c.
             c = letters[j - 1]
-            s = adj[v][-c]
+            s = steps[-c][v]
             if s is None:
-                adj[u][c], adj[v][-c] = v, u
+                steps[c][u], steps[-c][v] = v, u
             else:
                 pending.append((s, u))
         while pending:
@@ -164,25 +168,24 @@ def build_graph(generators, alphabet):
                 a, b = b, a
             # the smaller vertex stays the root, so the base stays 0
             parent[b] = a
-            row, gone = adj[a], adj[b]
-            adj[b] = None
-            for c, t in enumerate(gone):
-                if t is not None:
-                    if row[c] is None:
-                        row[c] = t
-                    else:
-                        pending.append((row[c], t))
+            merged.append(b)
+            for column in columns:
+                s, t = column[a], column[b]
+                if s is None:
+                    column[a] = t
+                elif t is not None:
+                    pending.append((s, t))
 
-    unused = (None,) * width
-    columns = list(zip(*(unused if row is None else
-                         [None if t is None else find(t) for t in row]
-                         for row in adj)))
-    order = list(_bfs(columns, _codes(range(len(alphabet)))))
-    label = dict(zip(order, range(len(order))))
-    label[None] = None
-    return SubgroupGraph(alphabet, [range(len(order))] + [
-        map(label.__getitem__, map(column.__getitem__, order))
-        for column in columns[1:]])
+    if merged:
+        root = {b: find(b) for b in merged}
+        for column in columns:
+            column[:] = map(root.get, column, column)
+    # the labels in BFS order; with one item more, itemgetter returns a
+    # tuple even for one vertex, and label.get keeps None
+    label = dict(zip(_bfs(steps, codes), count()))
+    pick = itemgetter(*label, 0)
+    return SubgroupGraph(alphabet, [label.values()] + [
+        map(label.get, pick(column)[:-1]) for column in columns])
 
 
 def contains(graph, w):
@@ -225,14 +228,6 @@ def is_normal(graph):
     return True
 
 
-def _check_surjective(f, d, alphabet):
-    g = d
-    for name in alphabet:
-        g = math.gcd(g, f[name] % d)
-    if g != 1:
-        raise ValueError("map does not generate Z_%d (gcd %d)" % (d, g))
-
-
 def kernel_graph(f, d, alphabet):
     """Schreier graph of Ker(F -> Z_d): vertices are residues, base is 0.
 
@@ -245,7 +240,9 @@ def kernel_graph(f, d, alphabet):
     missing = [name for name in alphabet if name not in f]
     if missing:
         raise ValueError("map undefined on %r" % (missing,))
-    _check_surjective(f, d, alphabet)
+    g = math.gcd(d, *(f[name] for name in alphabet))
+    if g != 1:
+        raise ValueError("map does not generate Z_%d (gcd %d)" % (d, g))
     # rotations of one tuple share its int objects
     residues = tuple(range(d))
     steps = [residues] + [None] * (2 * len(alphabet))
@@ -427,18 +424,18 @@ def from_json(obj):
 
     Either {"alphabet": [...], "generators": ["x^3", "y", ...]} or
     {"alphabet": [...], "kernel": {"d": 3, "f": {"x": 1, "y": 0}}}.
-    A field of the wrong type, or a kernel ``d`` above
-    :data:`MAX_KERNEL_D`, raises ValueError naming the field; a missing
-    required key raises KeyError.
+    A field of the wrong type, both or neither of those two keys, or a
+    kernel ``d`` above :data:`MAX_KERNEL_D` raises ValueError naming the
+    field; a missing required key raises KeyError.
     """
-    from .words import parse_word
-
     if not isinstance(obj, dict):
         raise ValueError("a subgroup description is a JSON object")
     names = obj["alphabet"]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
         raise ValueError("alphabet must be a list of generator names")
     alphabet = Alphabet(names)
+    if ("generators" in obj) == ("kernel" in obj):
+        raise ValueError("a description has exactly one of generators and kernel")
     if "kernel" in obj:
         spec = obj["kernel"]
         if not isinstance(spec, dict):
@@ -452,8 +449,7 @@ def from_json(obj):
         if not (isinstance(f, dict) and all(_is_int(v) for v in f.values())):
             raise ValueError("kernel f must map generator names to integers")
         return kernel_graph(f, d, alphabet)
-    texts = obj.get("generators", [])
+    texts = obj["generators"]
     if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
         raise ValueError("generators must be a list of word strings")
-    gens = [parse_word(text, alphabet) for text in texts]
-    return build_graph([g for g in gens if g], alphabet)
+    return build_graph([g for g in parse_words(texts, alphabet) if g], alphabet)

@@ -15,14 +15,13 @@ both reduction and re-validation.  The per-letter work runs in bulk passes
 """
 
 import re
-from collections import Counter
 from itertools import chain, compress, count, groupby, islice
 from operator import eq, itemgetter, ne, neg
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
 
-#: Most letters a word may have where it enters: in the text ``parse_word``
+#: Most letters where words enter: in all the texts one ``parse_words`` call
 #: reads, before reduction, and in ``omega``.  omega_23 has 2^25 + 2.
 MAX_WORD_LETTERS = 2 ** 26
 
@@ -219,18 +218,25 @@ def generator(alphabet, name, power=1):
 
 
 def parse_word(text, alphabet):
-    """Parse whitespace-separated ``name`` / ``name^k`` tokens.
+    """The word of one text, as :func:`parse_words` reads it."""
+    return parse_words([text], alphabet)[0]
 
-    Exponents are sugar: ``x^-2`` expands to two inverse letters before
-    reduction, so parsing always yields the free reduction of the literal
-    word.  Empty text is the identity.  Text that expands to more than
-    :data:`MAX_WORD_LETTERS` letters raises ParseError.
+
+def parse_words(texts, alphabet):
+    """Parse texts of whitespace-separated ``name`` / ``name^k`` tokens.
+
+    ``x^-2`` expands to two inverse letters before reduction, so each text
+    yields the free reduction of its literal word; empty text is the
+    identity.  Each distinct token is read once, so the error raised is for
+    the first bad token of the first bad text.  More than
+    :data:`MAX_WORD_LETTERS` letters in all raise ParseError, counted from
+    the exponents before any letter is spelled.
     """
-    tokens = text.split()
-    # each distinct token is read once, in order of first appearance, so the
-    # first bad token of the text is the one reported
-    expansion, longest = dict.fromkeys(tokens), 1
-    for token in expansion:
+    # one string object per distinct token, however often it repeats
+    lengths, codes = {}, {}
+    token_lists = [list(map(lengths.setdefault, tokens, tokens))
+                   for tokens in map(str.split, texts)]
+    for token in lengths:
         m = _TOKEN_RE.match(token)
         if not m:
             raise ParseError("malformed token: %r" % (token,))
@@ -239,22 +245,20 @@ def parse_word(text, alphabet):
         k = 1 if exp is None else int(exp)
         if k == 0:
             raise ParseError("zero exponent in token: %r" % (token,))
-        if k < 0:
-            code, k = -code, -k
-        expansion[token] = (code, k)
-        longest = max(longest, k)
-    # the letters are counted before any is spelled, token by token only
-    # when the longest token could pass the bound
-    if len(tokens) * longest > MAX_WORD_LETTERS:
-        counts = Counter(tokens)
-        total = sum(k * counts[t] for t, (_, k) in expansion.items())
+        lengths[token], codes[token] = abs(k), code if k > 0 else -code
+    # the letters are counted token by token only when the longest token
+    # could pass the bound
+    longest = max(lengths.values(), default=1)
+    if sum(map(len, token_lists)) * longest > MAX_WORD_LETTERS:
+        total = sum(map(lengths.__getitem__, chain.from_iterable(token_lists)))
         if total > MAX_WORD_LETTERS:
-            raise ParseError("word has %d letters, more than the %d allowed"
-                             % (total, MAX_WORD_LETTERS))
-    for token, (code, k) in expansion.items():
-        expansion[token] = (code,) * k
-    letters = tuple(chain.from_iterable(map(expansion.__getitem__, tokens)))
-    return _word(alphabet, free_reduce(letters))
+            raise ParseError("%s %d letters, more than the %d allowed" % (
+                "word has" if len(token_lists) == 1 else "the words have",
+                total, MAX_WORD_LETTERS))
+    spelled = {token: (codes[token],) * k for token, k in lengths.items()}
+    return [_word(alphabet, free_reduce(
+                chain.from_iterable(map(spelled.__getitem__, tokens))))
+            for tokens in token_lists]
 
 
 def _check_alphabets(u, v):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -122,6 +123,41 @@ class TestSubgroup:
         path.write_bytes(content)
         assert main(["subgroup", "index", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: %s: " % path)
+
+    @pytest.mark.parametrize("desc", [
+        '{"alphabet": ["x", "y"]}',
+        '{"alphabet": ["x", "y"], "generators": ["x"], '
+        '"kernel": {"d": 2, "f": {"x": 1, "y": 0}}}',
+    ], ids=["neither", "both"])
+    def test_not_exactly_one_of_generators_and_kernel_exit_2(
+            self, capsys, tmp_path, desc):
+        path = tmp_path / "sub.json"
+        path.write_text(desc)
+        assert main(["--json", "subgroup", "index", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: %s: " % path)
+        assert "generators" in captured.err and "kernel" in captured.err
+
+    def test_empty_generator_list_is_the_trivial_subgroup(self, capsys, tmp_path):
+        path = tmp_path / "sub.json"
+        path.write_text('{"alphabet": ["x", "y"], "generators": []}')
+        assert run(capsys, "--json", "subgroup", "index", str(path)) \
+            == (0, '{"index":"infinite"}')
+
+    def test_file_letter_bound_exit_2(self, capsys, tmp_path):
+        # an 85-byte file whose texts each pass the bound but spell
+        # 1.8 * 10^8 letters together: refused before any is spelled
+        path = tmp_path / "sub.json"
+        path.write_text('{"alphabet": ["x","y"], "generators": '
+                        '["x^60000000", "y^60000000", "x y^60000000 x"]}')
+        assert path.stat().st_size == 85
+        start = time.perf_counter()
+        assert main(["--json", "subgroup", "index", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err == (
+            "error: %s: the words have 180000002 letters, more than the "
+            "67108864 allowed\n" % path)
 
     def test_kernel_d_over_the_cap_exit_2(self, capsys, tmp_path, monkeypatch):
         from fglab import stallings

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -239,6 +240,116 @@ class TestFoldProperties:
                 for u in range(degree) for k, p in enumerate(perms)]
         assert is_normal(g) == all(act(w, v) == v
                                    for w in gens for v in range(degree))
+
+
+def naive_fold(gens, rank):
+    """The folded graph of ``gens`` by the book, as lists by signed code.
+
+    Each generator becomes a fresh closed path at the base; while some
+    vertex has two equal-label edges, their far ends are merged; the
+    vertices are then relabelled by BFS from the base in the code order
+    1, -1, 2, -2, ...
+    """
+    edges, n = set(), 1
+    for w in gens:
+        path = [0] + list(range(n, n + len(w) - 1)) + [0]
+        n += len(w) - 1
+        for u, c, v in zip(path, w.letters, path[1:]):
+            edges.add((u, c, v) if c > 0 else (v, -c, u))
+    while True:
+        ends, pair = {}, None
+        for u, g, v in sorted(edges):
+            for key, end in (((u, g), v), ((v, -g), u)):
+                if ends.setdefault(key, end) != end:
+                    pair = (ends[key], end)
+        if pair is None:
+            break
+        keep, gone = min(pair), max(pair)
+        edges = {(keep if u == gone else u, g, keep if v == gone else v)
+                 for u, g, v in edges}
+    step = {}
+    for u, g, v in edges:
+        step[u, g], step[v, -g] = v, u
+    codes = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+    label, queue = {0: 0}, [0]
+    for v in queue:                      # grows while it is read
+        for c in codes:
+            t = step.get((v, c))
+            if t is not None and t not in label:
+                label[t] = len(queue)
+                queue.append(t)
+    return {c: [label.get(step.get((v, c))) for v in queue] for c in codes}
+
+
+@st.composite
+def folding_generator_lists(draw):
+    """Generator lists that fold hard: shared prefixes and suffixes,
+    repeats, powers, conjugates and a generator next to its inverse, with
+    the Schreier generators of a transitive action (finite index) mixed in
+    half of the time."""
+    rank = draw(st.integers(1, 3))
+    alphabet = RANKS[rank]
+    pieces = draw(st.lists(st.lists(codes(rank), max_size=5),
+                           min_size=1, max_size=4))
+    piece = st.sampled_from(pieces)
+    gens = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("shared", "power", "conjugate",
+                                     "inverse", "repeat")))
+        if kind == "shared":
+            letters = draw(piece) + draw(st.lists(codes(rank), max_size=3)) \
+                + draw(piece)
+        elif kind == "power":
+            letters = draw(piece) * draw(st.integers(2, 4))
+        elif kind == "conjugate":
+            p = draw(piece)
+            letters = p + draw(piece) + [-c for c in reversed(p)]
+        elif gens:
+            w = gens[-1]
+            letters = list((inverse(w) if kind == "inverse" else w).letters)
+        else:
+            letters = draw(piece)
+        gens.append(Word(alphabet, letters))
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 6))
+        perms = [draw(st.permutations(range(degree))) for _ in range(rank)]
+        reps = action_reps(perms)
+        # the orbit of point 0 is closed, so p[u] has a rep too
+        gens += [Word(alphabet, reps[u] + [g + 1]
+                      + [-c for c in reversed(reps[p[u]])])
+                 for u in reps for g, p in enumerate(perms)]
+    return alphabet, [w for w in draw(st.permutations(gens)) if w]
+
+
+class TestFoldOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(folding_generator_lists())
+    def test_fold_matches_the_naive_fold(self, case):
+        alphabet, gens = case
+        g = build_graph(gens, alphabet)
+        expected = naive_fold(gens, len(alphabet))
+        assert {c: list(g.steps[c]) for c in expected} == expected
+        assert list(g.steps[0]) == list(range(len(expected[1])))
+
+    def test_memory_is_sized_by_vertices_not_letters(self):
+        # 50 copies of one word fold to the graph of one copy
+        rng = random.Random(29)
+        letters = [1]
+        while len(letters) < 20_000:
+            c = rng.choice((1, -1, 2, -2))
+            if c != -letters[-1]:
+                letters.append(c)
+        w = Word(AB, letters)
+
+        def peak(gens):
+            tracemalloc.start()
+            try:
+                build_graph(gens, AB)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak([w] * 50) < 2 * peak([w])
 
 
 class TestTransversalProperties:

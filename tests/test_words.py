@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fglab.words import (MAX_WORD_LETTERS, XY, Alphabet, ParseError, Word,
                          commutator, exponent_sums, free_reduce, generator,
-                         identity, inverse, multiply, omega, parse_word)
+                         identity, inverse, multiply, omega, parse_word,
+                         parse_words)
 
 
 def random_word(rng, alphabet, max_len):
@@ -73,6 +76,43 @@ class TestParse:
         for _ in range(500):
             w = random_word(rng, XY, 30)
             assert parse_word(str(w), XY) == w
+
+
+token_texts = st.lists(
+    st.tuples(st.sampled_from(["x", "y"]),
+              st.one_of(st.none(), st.integers(-3, 3).filter(bool)),
+              st.sampled_from([" ", "  ", "\t", "\n "])),
+    max_size=12).map(lambda tokens: "".join(
+        (name if k is None else "%s^%d" % (name, k)) + gap
+        for name, k, gap in tokens))
+
+
+class TestParseWords:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(token_texts, max_size=6))
+    def test_equals_parse_word_text_by_text(self, texts):
+        assert parse_words(texts, XY) == [parse_word(t, XY) for t in texts]
+
+    def test_empty_list_and_empty_text(self):
+        assert parse_words([], XY) == []
+        assert parse_words(["", " "], XY) == [identity(XY)] * 2
+
+    def test_first_bad_token_of_the_first_bad_text(self):
+        with pytest.raises(ParseError, match="malformed token: 'x\\^'"):
+            parse_words(["x y", "y x^ z", "z x^1.5"], XY)
+        with pytest.raises(ParseError, match="zero exponent in token: 'y\\^0'"):
+            parse_words(["x", "y^0 x^", "x^"], XY)
+
+    def test_letter_bound_counts_all_texts(self):
+        # each text passes the bound; together they spell one letter too many
+        half = MAX_WORD_LETTERS // 2
+        with pytest.raises(ParseError, match="the words have %d letters, more "
+                           "than the %d allowed" % (MAX_WORD_LETTERS + 1,
+                                                    MAX_WORD_LETTERS)):
+            parse_words(["x^%d" % half, "y^%d x^-1" % half], XY)
+        texts = ["x^60000000", "y^60000000", "x y^60000000 x"]
+        with pytest.raises(ParseError, match="180000002 letters"):
+            parse_words(texts, XY)
 
 
 class TestGroupOps:
