@@ -23,8 +23,8 @@ DEFAULT_D_MAX = 12
 # verify's recurrence cross-check rewrites omega_n, whose length doubles
 # with n; the other checks hold for every n
 RECURRENCE_N_CAP = 8
-# witness re-checks F_m by magnus.dag_expand, whose cost grows about 2.3x
-# per step in m (about 5 s at m = 16)
+# witness re-checks F_m by magnus.dag_expand, whose cost grows about 2.2x
+# per step in m (the whole run takes about 2 s at m = 16 on 2 vCPUs)
 MAX_WITNESS_M = 16
 # verify's char_poly and eigen checks cost about d^3 each, so a battery up
 # to d_max costs about d_max^4 (about 65 s at 200 on 2 vCPUs)
@@ -157,7 +157,7 @@ def cmd_weight(args):
 def cmd_witness(args):
     if args.m > MAX_WITNESS_M:
         raise ValueError("m must be at most %d, got %d (the F_m re-check grows "
-                         "about 2.3x per step in m)" % (MAX_WITNESS_M, args.m))
+                         "about 2.2x per step in m)" % (MAX_WITNESS_M, args.m))
     cert = engine.witness(args.d, args.m)
     # The issuing path found the weight on the bracket by the weight
     # filtration and the exponent sums by Schreier rewriting.  Re-check F_m

@@ -8,8 +8,13 @@ lower-central-series weight of w: w lies in the m-th term iff the weight
 is at least m (or w is the identity).
 
 Series are sparse: a dict from monomials (tuples of variable indices) to
-nonzero integers.  All arithmetic is exact.  Three routes compute the same
-expansion:
+nonzero integers.  All arithmetic is exact.  Inside, the routes keep one
+dict per degree, keyed by integer codes: the degree-k monomial
+(g_1, ..., g_k) is the base-B number g_1 ... g_k, with B the word's rank
+for ``magnus_expand`` and the largest |leaf code| for the bracket routes.
+A product then appends monomials by a multiply and an add, and the keys
+become tuples again only when a route returns.  Three routes compute the
+same expansion:
 
 * ``magnus_expand`` walks the letters of a word, one pass over the terms
   per letter.  ``lcs_weight`` and ``in_lcs`` use it.
@@ -31,7 +36,7 @@ expansion at all.
 from dataclasses import dataclass
 from operator import add
 
-from .words import _fold_bracket
+from .words import _fold_nodes, bracket_nodes
 
 #: Largest weight cap ``fglab weight`` accepts, from ``--cap`` or
 #: FGLAB_MAGNUS_CAP.  The series of one inverse letter alone holds about
@@ -97,9 +102,10 @@ def series_mul(s, t):
     return NoncommSeries(cap, terms)
 
 
-# Both routes below work on "levels": a list whose entry k is the dict of
+# Every route below works on "levels": a list whose entry k is the dict of
 # the degree-k terms, for k = 0..cap.  Grouping by degree lets a product
-# stop at the cap without testing each monomial.
+# stop at the cap without testing each monomial, and fixes the number of
+# digits of each key: appending m2 of degree j to m1 gives m1 * B^j + m2.
 
 def _zero(cap):
     return [{} for _ in range(cap + 1)]
@@ -107,15 +113,26 @@ def _zero(cap):
 
 def _one(cap):
     levels = _zero(cap)
-    levels[0] = {(): 1}
+    levels[0] = {0: 1}
     return levels
 
 
-def _series(levels, cap):
-    return NoncommSeries(cap, {m: c for level in levels for m, c in level.items()})
+def _series(levels, cap, base):
+    """The series of a level list, its keys decoded back to monomials."""
+    terms = {}
+    for k, level in enumerate(levels):
+        powers = [base ** t for t in range(k - 1, -1, -1)]
+        for key, coef in level.items():
+            terms[tuple([key // p % base for p in powers])] = coef
+    return NoncommSeries(cap, terms)
 
 
-def _letter_step(levels, c):
+def _key_base(nodes):
+    """The key base of a bracket's node list: its largest |leaf code|."""
+    return max(abs(c) for c in nodes if not isinstance(c, tuple))
+
+
+def _letter_step(levels, c, base):
     """Multiply a level list in place, on the right, by the series of letter c.
 
     Multiplying by 1 + X_g adds the degree-(k-1) terms, extended by g, into
@@ -123,13 +140,13 @@ def _letter_step(levels, c):
     T[p g] = S[p g] - T[p] walking upward.  Either way a letter costs one
     pass over the terms.
     """
-    g = (abs(c) - 1,)
+    g = abs(c) - 1
     sign = 1 if c > 0 else -1
     cap = len(levels) - 1
     for k in (range(cap, 0, -1) if c > 0 else range(1, cap + 1)):
         level = levels[k]
         for p, coef in levels[k - 1].items():
-            q = p + g
+            q = p * base + g
             coef = level.get(q, 0) + sign * coef
             if coef:
                 level[q] = coef
@@ -141,38 +158,51 @@ def magnus_expand(w, cap):
     """Expansion of a word: product of the letter series, truncated.
 
     The constant term is always 1 (the letter series are units).  Each
-    letter updates the series in place by ``_letter_step``.
+    letter updates the series in place by ``_letter_step``; keys are in the
+    base of the word's rank.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    base = len(w.alphabet)
     levels = _one(cap)
     for c in w.letters:
-        _letter_step(levels, c)
-    return _series(levels, cap)
+        _letter_step(levels, c, base)
+    return _series(levels, cap, base)
 
 
-def _letter_levels(c, cap):
+def _letter_levels(c, cap, base):
     """The level list of letter c's series, in closed form."""
     if c < 0:
-        return [{(-c - 1,) * k: (-1) ** k} for k in range(cap + 1)]
+        levels, key, g = [], 0, -c - 1
+        for k in range(cap + 1):
+            levels.append({key: (-1) ** k})
+            key = key * base + g
+        return levels
     levels = _one(cap)
     if cap:
-        levels[1] = {(c - 1,): 1}
+        levels[1] = {c - 1: 1}
     return levels
 
 
-def _mul_into(out, s, t, sign=1, start=0):
+def _mul_into(out, s, t, base, sign=1, start=0):
     """Add sign * s * t to the level list out, up to its top degree.
 
     Only the levels of s and t from ``start`` on take part.  Returns out.
     """
     cap = len(out) - 1
     for i in range(start, min(len(s) - 1, cap - start) + 1):
+        left = s[i].items()
+        if not left:
+            continue
         for j in range(start, min(len(t) - 1, cap - i) + 1):
-            level = out[i + j]
-            for m1, c1 in s[i].items():
+            right = t[j].items()
+            if not right:
+                continue
+            level, shift = out[i + j], base ** j
+            for m1, c1 in left:
+                m1 *= shift
                 c1 *= sign
-                for m2, c2 in t[j].items():
+                for m2, c2 in right:
                     m = m1 + m2
                     c = level.get(m, 0) + c1 * c2
                     if c:
@@ -203,34 +233,39 @@ def bracket_expand(bracket, cap):
 
     Leaves take the closed form of ``_letter_levels``, not the letter step
     of ``magnus_expand`` and ``dag_expand``, so the issuer shares no leaf
-    code with the routes that re-check it.
+    code with the routes that re-check it.  Keys are in the base of
+    ``_key_base``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     slack = cap - structural_weight(bracket)
     if slack < 0:
         return series_one(cap)
+    nodes = bracket_nodes(bracket)
+    base = _key_base(nodes)
 
     def leaf(c):
-        return 1, _letter_levels(c, 1 + slack), _letter_levels(-c, slack)
+        return (1, _letter_levels(c, 1 + slack, base),
+                _letter_levels(-c, slack, base))
 
     def join(a, b):
         (wu, big_u, u_inv), (wv, big_v, v_inv) = a, b
         wt = wu + wv
         # UV - VU = (U - 1)(V - 1) - (V - 1)(U - 1)
-        uv_vu = _mul_into(_zero(wt + slack), big_u, big_v, 1, 1)
-        _mul_into(uv_vu, big_v, big_u, -1, 1)
+        uv_vu = _mul_into(_zero(wt + slack), big_u, big_v, base, 1, 1)
+        _mul_into(uv_vu, big_v, big_u, base, -1, 1)
         levels = _mul_into(_one(wt + slack), uv_vu,
-                           _mul_into(_zero(slack), u_inv, v_inv))
+                           _mul_into(_zero(slack), u_inv, v_inv, base), base)
         if wt > slack:
             return wt, levels, _one(slack)
-        return wt, levels, _mul_into(_one(slack), uv_vu,
-                                     _mul_into(_zero(slack), v_inv, u_inv), -1)
+        return wt, levels, _mul_into(
+            _one(slack), uv_vu, _mul_into(_zero(slack), v_inv, u_inv, base),
+            base, -1)
 
-    return _series(_fold_bracket(bracket, leaf, join)[1], cap)
+    return _series(_fold_nodes(nodes, leaf, join)[1], cap, base)
 
 
-def _chain_product(factors, cap):
+def _chain_product(factors, cap, base):
     """The level list of a product of factors, each truncated at cap.
 
     A factor is a signed letter code, applied by ``_letter_step``, or a
@@ -239,9 +274,9 @@ def _chain_product(factors, cap):
     levels = _one(cap)
     for factor in factors:
         if isinstance(factor, int):
-            _letter_step(levels, factor)
+            _letter_step(levels, factor, base)
         else:
-            levels = _mul_into(_zero(cap), levels, factor)
+            levels = _mul_into(_zero(cap), levels, factor, base)
     return levels
 
 
@@ -255,18 +290,21 @@ def dag_expand(bracket, cap):
 
     with every factor kept up to the cap: no weight-filtration cuts, so
     this route shares no truncation arithmetic with ``bracket_expand``.
-    A leaf stays a letter code, applied by the one-pass letter step.
+    A leaf stays a letter code, applied by the one-pass letter step.  Keys
+    are in the base of ``_key_base``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    nodes = bracket_nodes(bracket)
+    base = _key_base(nodes)
 
     def join(a, b):
         (u, u_inv), (v, v_inv) = a, b
-        return (_chain_product((u, v, u_inv, v_inv), cap),
-                _chain_product((v, u, v_inv, u_inv), cap))
+        return (_chain_product((u, v, u_inv, v_inv), cap, base),
+                _chain_product((v, u, v_inv, u_inv), cap, base))
 
-    root = _fold_bracket(bracket, lambda c: (c, -c), join)[0]
-    return _series(_chain_product((root,), cap), cap)
+    root = _fold_nodes(nodes, lambda c: (c, -c), join)[0]
+    return _series(_chain_product((root,), cap, base), cap, base)
 
 
 def structural_weight(bracket):
@@ -277,7 +315,7 @@ def structural_weight(bracket):
     in F_m for every m up to this weight.  No series and no cap are
     involved, so it proves membership where a truncation could not.
     """
-    return _fold_bracket(bracket, lambda c: 1, add)
+    return _fold_nodes(bracket_nodes(bracket), lambda c: 1, add)
 
 
 def series_weight(series):

@@ -133,12 +133,21 @@ def build_graph(generators, alphabet):
         if w.alphabet != alphabet:
             raise ValueError("generator %r not over %r" % (w, alphabet))
         letters = w.letters
-        u, i = 0, 0
-        while i < len(letters) and steps[letters[i]][u] is not None:
-            u, i = find(steps[letters[i]][u]), i + 1
+        # a read calls find only at a merged vertex, so never before a merge
+        u = i = 0
+        for c in letters:
+            t = steps[c][u]
+            if t is None:
+                break
+            u = t if parent[t] == t else find(t)
+            i += 1
         v, j = 0, len(letters)
-        while j > i and steps[-letters[j - 1]][v] is not None:
-            v, j = find(steps[-letters[j - 1]][v]), j - 1
+        while j > i:
+            t = steps[-letters[j - 1]][v]
+            if t is None:
+                break
+            v = t if parent[t] == t else find(t)
+            j -= 1
         if i == j:
             # the whole generator reads as the paths 0 -> u and v -> 0
             pending.append((u, v))

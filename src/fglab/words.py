@@ -330,8 +330,8 @@ def bracket_nodes(bracket):
     return nodes
 
 
-def _fold_bracket(bracket, leaf, join):
-    """Evaluate a bracket bottom-up over ``bracket_nodes``.
+def _fold_nodes(nodes, leaf, join):
+    """Evaluate a bracket bottom-up over its node list from ``bracket_nodes``.
 
     ``leaf(code)`` gives the value of a leaf and ``join(a, b)`` the value of
     ``[u, v]`` from the values of u and v.  Each distinct node is evaluated
@@ -339,7 +339,6 @@ def _fold_bracket(bracket, leaf, join):
     runs its callers' work: timing by public function charges that work
     to the caller.
     """
-    nodes = bracket_nodes(bracket)
     uses = [0] * len(nodes)
     for entry in nodes:
         if isinstance(entry, tuple):
@@ -361,7 +360,8 @@ def _fold_bracket(bracket, leaf, join):
 
 def bracket_word(bracket, alphabet):
     """The freely reduced word a commutator bracket (see ``bracket_nodes``) spells."""
-    return _fold_bracket(bracket, lambda c: Word(alphabet, (c,)), commutator)
+    return _fold_nodes(bracket_nodes(bracket), lambda c: Word(alphabet, (c,)),
+                       commutator)
 
 
 def omega_bracket(n):

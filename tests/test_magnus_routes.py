@@ -42,6 +42,19 @@ def shared_brackets(draw):
 
 
 @st.composite
+def sub_brackets(draw):
+    """A shared bracket over some of the letters of an alphabet of rank 1 to 6."""
+    rank = draw(st.sampled_from([1, 2, 3, 5, 6]))
+    gens = draw(st.lists(st.integers(1, rank), min_size=1, max_size=3, unique=True))
+    leaves = st.sampled_from([s * g for g in gens for s in (1, -1)])
+    pool = draw(st.lists(leaves, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, len(pool) - 1)) for _ in range(2))
+        pool.append((pool[i], pool[j]))
+    return Alphabet("xyzuvw"[:rank]), pool[-1]
+
+
+@st.composite
 def words(draw, max_size=20):
     rank = draw(st.integers(1, 3))
     return Word(RANKS[rank], draw(st.lists(codes(rank), max_size=max_size)))
@@ -107,6 +120,45 @@ def test_dag_route_equals_bracket_and_flat_routes(rank_bracket, cap):
         magnus_expand(word, cap)
 
 
+def assert_routes_agree(bracket, alphabet, cap):
+    word = bracket_word(bracket, alphabet)
+    routes = dag_expand(bracket, cap), bracket_expand(bracket, cap), \
+        magnus_expand(word, cap)
+    assert routes[0] == routes[1] == routes[2]
+    for series in routes:
+        for monomial in series.terms:
+            assert type(monomial) is tuple
+            assert all(type(g) is int for g in monomial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sub_brackets(), st.integers(1, 6))
+def test_routes_agree_whatever_the_key_base(alphabet_bracket, cap):
+    # the bracket routes key monomials in the base of the bracket's largest
+    # letter, the flat route in the base of the word's rank
+    alphabet, bracket = alphabet_bracket
+    assert_routes_agree(bracket, alphabet, cap)
+
+
+X, Y, Z = 1, 2, 3
+RANK_6 = Alphabet("xyzuvw")
+
+
+@pytest.mark.parametrize("alphabet, bracket, base", [
+    (RANKS[3], ((Y, -Z), (-Y, Z)), 3),    # y and z only: x's digit 0 unused
+    (RANKS[3], ((X, -Y), ((X, Y), -X)), 2),  # x and y only: base 2 < rank 3
+    (RANKS[3], -X, 1),                     # x only: base 1, every digit 0
+    (RANKS[1], -X, 1),
+    (RANKS[1], (X, -X), 1),
+    (RANK_6, ((6, -5), (-6, (X, 4))), 6),
+    (RANK_6, ((Z, -5), Z), 5),
+])
+@pytest.mark.parametrize("cap", [1, 4, 7])
+def test_routes_agree_on_sub_alphabets(alphabet, bracket, base, cap):
+    assert magnus._key_base(bracket_nodes(bracket)) == base
+    assert_routes_agree(bracket, alphabet, cap)
+
+
 @settings(max_examples=300, deadline=None)
 @given(shared_brackets(), st.integers(1, 8))
 def test_structural_weight_bounds_magnus_weight(rank_bracket, cap):
@@ -145,8 +197,8 @@ def test_bracket_route_keeps_only_live_nodes():
 
 def test_witness_fails_when_the_dag_route_drops_a_factor(capsys, monkeypatch):
     chain_product = magnus._chain_product
-    monkeypatch.setattr(magnus, "_chain_product",
-                        lambda factors, cap: chain_product(factors[:-1], cap))
+    monkeypatch.setattr(magnus, "_chain_product", lambda factors, cap, base:
+                        chain_product(factors[:-1], cap, base))
     assert main(["witness", "--d", "3", "--m", "5"]) == 1
     assert "F_m re-check failed: the DAG expansion" in capsys.readouterr().err
 
