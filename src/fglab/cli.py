@@ -26,8 +26,8 @@ RECURRENCE_N_CAP = 8
 # witness re-checks F_m by magnus.dag_expand, whose cost grows about 2.2x
 # per step in m (the whole run takes about 2 s at m = 16 on 2 vCPUs)
 MAX_WITNESS_M = 16
-# verify's char_poly and eigen checks cost about d^3 each, so a battery up
-# to d_max costs about d_max^4 (about 65 s at 200 on 2 vCPUs)
+# verify's char_poly check costs about d^2 (d + 1 sparse determinants), so a
+# battery up to d_max costs about d_max^3 (about 14 s at 200 on 2 vCPUs)
 MAX_VERIFY_D = 200
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -8,10 +8,9 @@ central term of F lands inside [G, G]:
   relations under x,
 * exponent-sum vectors of the witness words through actual rewriting,
   cross-checked by counting y letters per x-residue,
-* the d x d integer transition matrix, the chain v_(n+1) = A v_n of
-  exponent vectors, its characteristic polynomial (determinants at d + 1
-  points, by fraction-free elimination over the nonzero entries only)
-  and eigenpairs (verified in the exact ring Q[t]/(t^d - 1)),
+* the d x d integer transition matrix, read as its 2d nonzero entries:
+  the chain v_(n+1) = A v_n, its characteristic polynomial (determinants
+  at d + 1 points) and eigenpairs (exact in Q[t]/(t^d - 1)),
 * a proof that A^n v_0 != 0 for every n, from the kernel of A,
 * witness certificates: explicit words in F_m \\ [G, G].
 
@@ -20,10 +19,11 @@ All arithmetic is exact: Python integers and the cyclotomic ring above.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, compress, repeat
 
-from . import magnus, stallings
-from .words import (XY, Word, exponent_sums, generator, inverse, multiply,
-                    omega, omega_bracket)
+from . import magnus, stallings, words
+from .words import (XY, Word, commutator, exponent_sums, generator, inverse,
+                    multiply, omega, omega_bracket)
 
 
 class VerificationError(RuntimeError):
@@ -109,32 +109,43 @@ def start_vector(d):
     return (-1, 1) + (0,) * (d - 2)
 
 
+def _rows(m):
+    """The rows of a matrix as {column: value} dicts of their nonzero entries."""
+    return [dict(compress(enumerate(row), row)) for row in m]
+
+
+def _apply(rows, v):
+    return tuple(sum(x * v[k] for k, x in row.items()) for row in rows)
+
+
 def _mat_vec(m, v):
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in m)
+    return _apply(_rows(m), v)
 
 
 def iterate(d, n):
     """Exact A^n v_0, by n steps of v <- A v (arbitrary precision)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    a, v = transition_matrix(d), start_vector(d)
+    rows, v = _rows(transition_matrix(d)), start_vector(d)
     for _ in range(n):
-        v = _mat_vec(a, v)
+        v = _apply(rows, v)
     return v
 
 
 def verify_recurrence(spec, n_max):
     """Check P-vectors from rewriting against the chain A^n v_0 for n <= n_max.
 
-    The left side rewrites the actual witness word through the Schreier
-    graph; the right side is pure linear algebra, one step v <- A v per n.
+    The left side rewrites omega_n, one commutator [omega_(n-1), x] per n,
+    through the Schreier graph; the right side is one step v <- A v per n.
     Also checks that the a-exponent of every witness word vanishes.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    a, matrix_side = transition_matrix(spec.d), start_vector(spec.d)
-    for n in range(n_max + 1):
-        a_sum, rewritten = basis_exponents(spec, omega(n))
+    if n_max < 1 or 2 ** min(n_max + 2, 64) + 2 > words.MAX_WORD_LETTERS:
+        raise ValueError("n_max must be >= 1, and omega_n_max within MAX_WORD_LETTERS")
+    rows, matrix_side = _rows(transition_matrix(spec.d)), start_vector(spec.d)
+    chain = accumulate(repeat(generator(XY, "x"), n_max), commutator,
+                       initial=omega(0))
+    for n, word in enumerate(chain):
+        a_sum, rewritten = basis_exponents(spec, word)
         if rewritten != matrix_side:
             raise VerificationError(
                 "d=%d n=%d: rewriting gave %r, matrix gave %r"
@@ -142,47 +153,53 @@ def verify_recurrence(spec, n_max):
         if a_sum != 0:
             raise VerificationError(
                 "d=%d n=%d: nonzero a-exponent %d" % (spec.d, n, a_sum))
-        matrix_side = _mat_vec(a, matrix_side)
+        matrix_side = _apply(rows, matrix_side)
     return {"d": spec.d, "n_max": n_max, "checked": n_max + 1, "ok": True}
 
 
 # -- characteristic polynomial, by exact determinants ------------------------
 
 def _det(m):
-    """Exact determinant of a square integer matrix, reading only nonzeros.
+    """Exact determinant of a square integer matrix (a list of rows)."""
+    return _sparse_det(_rows(m))
 
-    Each row is a {column: value} dict of its nonzero entries.  Column k
-    pivots on the sparsest remaining row with a nonzero there, ties broken
-    by the smallest |entry| (on A - lambda I that keeps every pivot but the
-    last at 1 or -1).  Elimination is fraction-free: a row r with entry e in
-    column k becomes p r - e q for the pivot row q and pivot p, which
-    scales the determinant by p.  The triangular form's determinant, the
-    pivots' product, is then divided exactly by the product of the scales.
+
+def _sparse_det(rows):
+    """Exact determinant of a square matrix of {column: value} rows.
+
+    A column index of the live rows follows each fill-in and cancellation.
+    Column k pivots on its sparsest row, then the smallest |entry| (all but
+    the last pivot of A - lambda I are then +-1); row r with entry e there
+    becomes p r - e q for pivot row q and pivot p, a scale divided out last.
+    The sign counts swaps of places (at[place] = row, pos[row] = place).
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m]
-    det, scale = 1, 1
-    for k in range(len(rows)):
-        live = [i for i in range(k, len(rows)) if k in rows[i]]
+    rows = [dict(compress(row.items(), row.values())) for row in rows]
+    cols = [set() for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    det, scale, at, pos = 1, 1, list(range(len(rows))), list(range(len(rows)))
+    for k, live in enumerate(cols):
         if not live:
             return 0
         i = min(live, key=lambda i: (len(rows[i]), abs(rows[i][k])))
-        if i != k:
-            rows[k], rows[i] = rows[i], rows[k]
-            det = -det
-        pivot = rows[k].pop(k)
-        det *= pivot
-        for row in rows[k + 1:]:
-            e = row.pop(k, 0)
-            if e:
-                scale *= pivot
-                for j in row:
-                    row[j] *= pivot
-                for j, q in rows[k].items():
-                    x = row.get(j, 0) - e * q
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
+        if pos[i] != k:
+            at[pos[i]], pos[at[k]] = at[k], pos[i]
+            at[k], pos[i], det = i, k, -det
+        for j in rows[i]:
+            cols[j].discard(i)
+        pivot = rows[i].pop(k)
+        det, scale = det * pivot, scale * pivot ** len(live)
+        for r in live:
+            row, e = rows[r], rows[r].pop(k)
+            for j in row:
+                row[j] *= pivot
+            for j, q in rows[i].items():
+                row[j] = row.get(j, 0) - e * q
+                cols[j].add(r)
+                if not row[j]:   # cancelled
+                    del row[j]
+                    cols[j].discard(r)
     return det // scale
 
 
@@ -190,11 +207,11 @@ def char_poly_check(d):
     """det(A - lambda I) = (1 - lambda)^d - 1, as polynomials in lambda.
 
     Both sides have degree at most d, so agreeing at the d + 1 points
-    lambda = 0, ..., d proves them equal.
+    lambda = 0, ..., d proves them equal (on A's nonzeros, shifted).
     """
-    a = transition_matrix(d)
+    a = _rows(transition_matrix(d))
     return all(
-        _det([row[:i] + (row[i] - lam,) + row[i + 1:] for i, row in enumerate(a)])
+        _sparse_det([{**row, i: row.get(i, 0) - lam} for i, row in enumerate(a)])
         == (1 - lam) ** d - 1
         for lam in range(d + 1))
 
@@ -215,26 +232,24 @@ def eigen_check(d):
 
     Elements of Q[t]/(t^d - 1) are length-d coefficient tuples.  x_j has
     components t^(-kj) down the column (so the first entry is 1); the d
-    monomial tuples are built once and shared by every pair.
+    monomial tuples are built once and shared by every pair.  Over the unit
+    x_j[i] = t^(-ij), row i is sum_k A[i][k] t^((i - k) j) - 1 + t^j = 0: one
+    sum over nonzeros per j for each distinct row of offsets (i - k) mod d.
     Raises if any identity fails; the theorem's spectral step rests on it.
     """
-    rows = [{k: x for k, x in enumerate(row) if x} for row in transition_matrix(d)]
-    monomials = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    shapes = {frozenset(((i - k) % d, x) for k, x in row.items())
+              for i, row in enumerate(_rows(transition_matrix(d)))}
+    monomials = [(0,) * k + (1,) + (0,) * (d - 1 - k) for k in range(d)]
     pairs = []
     for j in range(1, d + 1):
         eigenvalue = tuple(o - m for o, m in zip(monomials[0], monomials[j % d]))
         vector = tuple(monomials[-k * j % d] for k in range(d))
         ok = True
-        for i, row in enumerate(rows):
-            # row i of A x_j scatters the nonzeros of row i of A onto the
-            # powers t^(-kj); the right side, the eigenvalue times the
-            # monomial x_j[i] = t^(-ij), is the eigenvalue turned ij places
-            lhs = [0] * d
-            for k, entry in row.items():
-                lhs[-k * j % d] += entry
-            turn = i * j % d
-            if tuple(lhs) != eigenvalue[turn:] + eigenvalue[:turn]:
-                ok = False
+        for shape in shapes:
+            residue = {}
+            for offset, x in (*shape, (0, -1), (1, 1)):
+                residue[offset * j % d] = residue.get(offset * j % d, 0) + x
+            ok = ok and not any(residue.values())
         pairs.append(EigenPair(j=j, eigenvalue=eigenvalue,
                                eigenvector=vector, ok=ok))
     if not all(p.ok for p in pairs):

@@ -1,10 +1,11 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglab import engine, magnus, stallings
@@ -12,7 +13,8 @@ from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
                           char_poly_check, conjugation_table, eigen_check,
                           iterate, nonvanishing_check, p_vector, path_counts,
                           transition_matrix, verify_recurrence, witness)
-from fglab.words import XY, bracket_word, omega, parse_word
+from fglab.words import (XY, bracket_word, commutator, generator, omega,
+                         parse_word)
 
 
 class TestCanonicalBasis:
@@ -138,6 +140,19 @@ class TestRecurrence:
         with pytest.raises(VerificationError, match="d=5 n=1: rewriting"):
             verify_recurrence(KernelSpec(5), 3)
 
+    def test_commutator_chain_spells_omega(self):
+        # verify_recurrence carries omega_(n+1) = [omega_n, x] step by step
+        x, word = generator(XY, "x"), omega(0)
+        for n in range(12):
+            assert word == omega(n)
+            word = commutator(word, x)
+
+    @pytest.mark.parametrize("n_max", [0, 24, 10 ** 6])
+    def test_n_max_out_of_range_rejected(self, n_max):
+        # omega_24 would have 2^26 + 2 letters; no word is built
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            verify_recurrence(KernelSpec(3), n_max)
+
 
 def fraction_det(m):
     """Oracle: Gaussian elimination over the rationals."""
@@ -180,7 +195,35 @@ def banded_matrices(draw):
     return rows
 
 
+@st.composite
+def sparse_matrices(draw):
+    """Up to 3 nonzeros a row, with rows repeated or zeroed.
+
+    Each row has a nonzero in a column of a drawn permutation, so most
+    matrices are regular and run to the last column; small entries make the
+    elimination fill in and cancel, which the column index must follow.
+    """
+    size = draw(st.integers(1, 25))
+    columns = draw(st.permutations(range(size)))
+    rows = []
+    for i in range(size):
+        row = [0] * size
+        for j in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+            row[j] = draw(st.integers(-2, 2))
+        row[columns[i]] = draw(st.sampled_from([-2, -1, 1, 2]))
+        rows.append(row)
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        rows[i] = list(rows[draw(st.integers(0, size - 1))]) if draw(
+            st.booleans()) else [0] * size
+    return rows
+
+
 square_matrices = st.one_of(dense_matrices(), banded_matrices())
+
+
+def permutation_sign(p):
+    """Oracle: (-1) to the number of inversions."""
+    return (-1) ** sum(a > b for a, b in combinations(p, 2))
 
 
 class TestDeterminant:
@@ -191,6 +234,18 @@ class TestDeterminant:
     def test_zero_leading_pivot(self):
         assert engine._det([[0, 1], [1, 0]]) == -1
         assert engine._det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_permutation_matrices(self, size):
+        # every pivot is 1, so the sign comes from the pivot order alone
+        for p in permutations(range(size)):
+            m = [[int(j == p[i]) for j in range(size)] for i in range(size)]
+            assert engine._det(m) == permutation_sign(p)
+
+    @settings(deadline=None)
+    @given(sparse_matrices())
+    def test_sparse_matches_rational_elimination(self, m):
+        assert engine._det(m) == fraction_det(m)
 
 
 class TestCharPoly:
