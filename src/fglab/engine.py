@@ -17,12 +17,12 @@ central term of F lands inside [G, G]:
 All arithmetic is exact: Python integers and the cyclotomic ring above.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 
 from . import magnus, stallings, words
-from .words import (XY, Word, commutator, exponent_sums, generator, inverse,
+from .words import (XY, commutator, exponent_sums, generator, inverse,
                     multiply, omega, omega_bracket)
 
 
@@ -30,14 +30,14 @@ class VerificationError(RuntimeError):
     """A cross-check between two computation routes failed."""
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(namedtuple("KernelSpec", "d")):
     """The kernel of x -> 1, y -> 0 in Z_d over the alphabet {x, y}."""
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 2:
+    def __new__(cls, d):
+        if d < 2:
             raise ValueError("modulus must be >= 2")
+        return super().__new__(cls, d)
 
 
 @lru_cache(maxsize=None)
@@ -218,13 +218,9 @@ def char_poly_check(d):
 
 # -- eigenpairs, exact in Q[t]/(t^d - 1) -------------------------------------
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(namedtuple("EigenPair", "j eigenvalue eigenvector ok")):
     """Verified eigenpair of A over Q[t]/(t^d - 1), with t for zeta."""
-    j: int
-    eigenvalue: tuple
-    eigenvector: tuple
-    ok: bool
+    __slots__ = ()
 
 
 def eigen_check(d):
@@ -302,18 +298,14 @@ def path_counts(d, w):
     return a_sum, tuple(counts)
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
-    """An explicit word in F_m outside [G, G], with its evidence."""
-    d: int
-    m: int
-    witness: Word
-    bracket: object  # the commutator bracket that spells the witness
-    p_vec: tuple
-    a_sum: int
-    cap: int
-    weight: object  # int, magnus.AtLeast, or magnus.IDENTITY
-    basis: stallings.SchreierBasis
+class WitnessCertificate(namedtuple(
+        "WitnessCertificate", "d m witness bracket p_vec a_sum cap weight basis")):
+    """An explicit word in F_m outside [G, G], with its evidence.
+
+    ``bracket`` is the commutator bracket that spells ``witness``, and
+    ``weight`` an int, a ``magnus.AtLeast`` or ``magnus.IDENTITY``.
+    """
+    __slots__ = ()
 
     def to_dict(self):
         """JSON data; each basis word and representative is spelled here."""

@@ -33,7 +33,7 @@ nesting.  ``structural_weight`` bounds the weight from below with no
 expansion at all.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add
 
 from .words import _fold_nodes, bracket_nodes
@@ -54,10 +54,9 @@ class _Identity:
 IDENTITY = _Identity()
 
 
-@dataclass(frozen=True)
-class AtLeast:
+class AtLeast(namedtuple("AtLeast", "bound")):
     """Weight known only to exceed the truncation cap."""
-    bound: int
+    __slots__ = ()
 
     def __repr__(self):
         return "AtLeast(%d)" % self.bound

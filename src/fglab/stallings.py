@@ -9,9 +9,8 @@ Graphs are immutable after construction; every query is pure.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, count
-from operator import itemgetter
 
 from .words import (Alphabet, Word, _word, exponent_sums, inverse, multiply,
                     parse_words)
@@ -189,12 +188,17 @@ def build_graph(generators, alphabet):
         root = {b: find(b) for b in merged}
         for column in columns:
             column[:] = map(root.get, column, column)
-    # the labels in BFS order; with one item more, itemgetter returns a
-    # tuple even for one vertex, and label.get keeps None
-    label = dict(zip(_bfs(steps, codes), count()))
-    pick = itemgetter(*label, 0)
-    return SubgroupGraph(alphabet, [label.values()] + [
-        map(label.get, pick(column)[:-1]) for column in columns])
+    # the BFS tree becomes the labels in place (its values are replaced, so
+    # its keys keep their order), and the two never coexist; each column is
+    # relabelled in BFS order and dropped as its tuple is made (label.get
+    # keeps None)
+    label = _bfs(steps, codes)
+    label.update(zip(label, count()))
+    del columns
+    steps[0] = label.values()
+    for c in range(1, len(steps)):
+        steps[c] = tuple(map(label.get, map(steps[c].__getitem__, label)))
+    return SubgroupGraph(alphabet, steps)
 
 
 def contains(graph, w):
@@ -240,7 +244,8 @@ def is_normal(graph):
 def kernel_graph(f, d, alphabet):
     """Schreier graph of Ker(F -> Z_d): vertices are residues, base is 0.
 
-    f maps generator names to residues; the edge (r, g) ends at r + f(g).
+    f maps each generator name, and nothing else, to a residue; the edge
+    (r, g) ends at r + f(g).
     The graph is folded and complete by construction, so the index is d
     and the subgroup is normal.
     """
@@ -249,6 +254,9 @@ def kernel_graph(f, d, alphabet):
     missing = [name for name in alphabet if name not in f]
     if missing:
         raise ValueError("map undefined on %r" % (missing,))
+    unknown = [name for name in f if name not in alphabet]
+    if unknown:
+        raise ValueError("map defined off the alphabet on %r" % (unknown,))
     g = math.gcd(d, *(f[name] for name in alphabet))
     if g != 1:
         raise ValueError("map does not generate Z_%d (gcd %d)" % (d, g))
@@ -262,8 +270,8 @@ def kernel_graph(f, d, alphabet):
     return SubgroupGraph(alphabet, steps)
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(namedtuple("Transversal", "graph tree order preferred",
+                             defaults=(None,))):
     """Schreier transversal from a BFS spanning tree.
 
     tree[v] is the signed code of the tree edge entering v, 0 at the base:
@@ -271,10 +279,7 @@ class Transversal:
     order lists vertices in BFS discovery order.  preferred records the
     generator whose edges were explored first, if any.
     """
-    graph: SubgroupGraph
-    tree: tuple
-    order: tuple
-    preferred: str | None = None
+    __slots__ = ()
 
     def rep(self, v):
         """The tree path from the base to v, read back from v.  It never
@@ -313,16 +318,13 @@ def schreier_transversal(graph, preferred=None):
                        preferred=preferred)
 
 
-@dataclass(frozen=True)
-class SchreierBasis:
+class SchreierBasis(namedtuple("SchreierBasis", "alphabet transversal edges")):
     """Free basis of the subgroup, one generator per non-tree edge.
 
     alphabet names the basis letters; edges[i] is the non-tree edge
     (source, gen) of letter i, read against the tree of ``transversal``.
     """
-    alphabet: Alphabet
-    transversal: Transversal
-    edges: tuple
+    __slots__ = ()
 
     def word(self, i):
         """Basis element i, rep(u) g rep(v)^-1 for its edge u -g-> v."""

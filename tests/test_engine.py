@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -386,7 +385,7 @@ class TestWitness:
         assert payload["transversal"] == ["", "x", "x^2"]
 
     def test_json_keeps_the_bound_of_an_inexact_weight(self):
-        cert = dataclasses.replace(witness(3, 4), weight=magnus.AtLeast(6))
+        cert = witness(3, 4)._replace(weight=magnus.AtLeast(6))
         assert cert.to_dict()["lcs_weight"] == {"cap": 5,
                                                 "value": {"at_least": 6}}
 
