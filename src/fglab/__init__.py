@@ -16,7 +16,7 @@ from .stallings import (INFINITE, InfiniteIndexError, NotInSubgroupError,
                         index, is_normal, kernel_graph, rewrite,
                         schreier_basis, schreier_transversal)
 from .magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
-                     dag_expand, in_lcs, lcs_weight, magnus_expand, series_mul,
+                     coefficient, in_lcs, lcs_weight, magnus_expand, series_mul,
                      series_one, series_weight, structural_weight,
                      weight_reaches, weight_to_json)
 from .engine import (EigenPair, KernelSpec, VerificationError,

@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import engine, magnus, stallings
-from .words import Alphabet, ParseError, omega, parse_word
+from .words import Alphabet, ParseError, bracket_word, omega, parse_word
 
 DEFAULT_CAP = 8
 DEFAULT_N_MAX = 100
@@ -23,9 +23,9 @@ DEFAULT_D_MAX = 12
 # verify's recurrence cross-check rewrites omega_n, whose length doubles
 # with n; the other checks hold for every n
 RECURRENCE_N_CAP = 8
-# witness re-checks F_m by magnus.dag_expand, whose cost grows about 2.2x
-# per step in m (the whole run takes about 2 s at m = 16 on 2 vCPUs)
-MAX_WITNESS_M = 16
+# witness spells, rewrites and walks the 2^m + 2 letters of omega_(m-2), so
+# a run doubles per step in m (about 1.5 s at m = 20 on 2 vCPUs)
+MAX_WITNESS_M = 20
 # verify's char_poly check costs about d^2 (d + 1 sparse determinants), so a
 # battery up to d_max costs about d_max^3 (about 14 s at 200 on 2 vCPUs)
 MAX_VERIFY_D = 200
@@ -156,25 +156,36 @@ def cmd_weight(args):
 
 def cmd_witness(args):
     if args.m > MAX_WITNESS_M:
-        raise ValueError("m must be at most %d, got %d (the F_m re-check grows "
-                         "about 2.2x per step in m)" % (MAX_WITNESS_M, args.m))
+        raise ValueError("m must be at most %d, got %d (the witness word has "
+                         "2^m + 2 letters)" % (MAX_WITNESS_M, args.m))
     cert = engine.witness(args.d, args.m)
     # The issuing path found the weight on the bracket by the weight
-    # filtration and the exponent sums by Schreier rewriting.  Re-check F_m
-    # on the bracket twice: its structural weight proves membership for
-    # every m, and the plain DAG expansion must reproduce the printed weight.
-    # Re-check G_2 on the printed letters by counting y letters per
-    # x-residue, which builds no graph.
+    # filtration and the exponent sums by Schreier rewriting.  Re-check the
+    # exact weight m in two halves: one Magnus coefficient of degree m,
+    # read off the printed letters, bounds it from above, and the
+    # structural weight of the bracket, which must spell those letters,
+    # bounds it from below for every m.  Re-check G_2 on the printed
+    # letters by counting y letters per x-residue, which builds no graph.
+    alphabet = cert.witness.alphabet
+    x, y = alphabet.index("x"), alphabet.index("y")
+    found = magnus.coefficient(cert.witness, (y,) + (x,) * (args.m - 1))
+    if found != -1:
+        raise engine.VerificationError(
+            "independent F_m re-check failed: the coefficient of y x^%d is %d, "
+            "not -1" % (args.m - 1, found))
+    if bracket_word(cert.bracket, alphabet) != cert.witness:
+        raise engine.VerificationError(
+            "independent re-check failed: the bracket does not spell the "
+            "printed word")
     structural = magnus.structural_weight(cert.bracket)
     if structural < args.m:
         raise engine.VerificationError(
             "independent F_m re-check failed: structural weight %d < %d"
             % (structural, args.m))
-    expanded = magnus.series_weight(magnus.dag_expand(cert.bracket, cert.cap))
-    if expanded != cert.weight:
+    if cert.weight != args.m:
         raise engine.VerificationError(
-            "independent F_m re-check failed: the DAG expansion gave weight "
-            "%r, the certificate %r" % (expanded, cert.weight))
+            "independent F_m re-check failed: the weight is %d, the "
+            "certificate prints %r" % (args.m, cert.weight))
     counted = engine.path_counts(args.d, cert.witness)
     if counted != (cert.a_sum, cert.p_vec) or not any(cert.p_vec):
         raise engine.VerificationError("independent G_2 re-check failed")

@@ -11,26 +11,22 @@ Series are sparse: a dict from monomials (tuples of variable indices) to
 nonzero integers.  All arithmetic is exact.  Inside, the routes keep one
 dict per degree, keyed by integer codes: the degree-k monomial
 (g_1, ..., g_k) is the base-B number g_1 ... g_k, with B the word's rank
-for ``magnus_expand`` and the largest |leaf code| for the bracket routes.
+for ``magnus_expand`` and the largest |leaf code| for ``bracket_expand``.
 A product then appends monomials by a multiply and an add, and the keys
-become tuples again only when a route returns.  Three routes compute the
+become tuples again only when a route returns.  Two routes compute the
 same expansion:
 
 * ``magnus_expand`` walks the letters of a word, one pass over the terms
   per letter.  ``lcs_weight`` and ``in_lcs`` use it.
 * ``bracket_expand`` folds a commutator bracket's node list by the weight
   filtration, cutting each node at its weight plus the slack
-  cap - wt(bracket).  Its leaves are the closed-form letter series.  It
-  issues the F_m verdict of a witness certificate.
-* ``dag_expand`` folds the same node list, keeping every factor up to the
-  full cap and applying leaves by the letter step, so it shares neither
-  truncation arithmetic nor leaf code with ``bracket_expand``.  It
-  re-checks that verdict.
+  cap - wt(bracket).  It costs what the bracket and the cap cost, not the
+  length of the word the bracket spells, which doubles with each level of
+  nesting.  It issues the F_m verdict of a witness certificate.
 
-The two bracket routes cost what the bracket and the cap cost, not the
-length of the word the bracket spells, which doubles with each level of
-nesting.  ``structural_weight`` bounds the weight from below with no
-expansion at all.
+``coefficient`` reads one coefficient off the letters with no series at
+all, and ``structural_weight`` bounds the weight of a bracket from below
+with no expansion; together they re-check that verdict.
 """
 
 from collections import namedtuple
@@ -40,7 +36,7 @@ from .words import _fold_nodes, bracket_nodes
 
 #: Largest weight cap ``fglab weight`` accepts, from ``--cap`` or
 #: FGLAB_MAGNUS_CAP.  The series of one inverse letter alone holds about
-#: cap^2 / 2 codes; ``witness`` uses cap m + 1, at most 17.
+#: cap^2 / 2 codes; ``witness`` uses cap m + 1, at most 21.
 MAX_CAP = 64
 
 
@@ -231,9 +227,7 @@ def bracket_expand(bracket, cap):
     when wt(b) > s.
 
     Leaves take the closed form of ``_letter_levels``, not the letter step
-    of ``magnus_expand`` and ``dag_expand``, so the issuer shares no leaf
-    code with the routes that re-check it.  Keys are in the base of
-    ``_key_base``.
+    of ``magnus_expand``.  Keys are in the base of ``_key_base``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -264,46 +258,40 @@ def bracket_expand(bracket, cap):
     return _series(_fold_nodes(nodes, leaf, join)[1], cap, base)
 
 
-def _chain_product(factors, cap, base):
-    """The level list of a product of factors, each truncated at cap.
+def coefficient(w, monomial):
+    """The coefficient of one monomial in the Magnus expansion of a word.
 
-    A factor is a signed letter code, applied by ``_letter_step``, or a
-    level list, multiplied in full.
+    The monomial is a tuple of 0-based variable indices, as in the keys of
+    ``NoncommSeries``.  For g_1 ... g_k, the map sending generator g to
+    I + sum E_(i-1, i), over the positions i with g_i = g, factors through
+    the expansion, and entry (0, k) of the image of w is the coefficient:
+    an augmented higher Fox derivative (Chen, Fox and Lyndon, Ann. of Math.
+    68, 1958).  One walk over the letters keeps row 0 only: letter g adds
+    row[i-1] into row[i] at its positions walking i downward, and g^-1
+    subtracts walking i upward.  A letter costs O(k), and no series, level
+    list or bracket is involved.
+
+    ``fglab witness`` bounds the weight of omega_(m-2) from above by its
+    coefficient -1 on y x^(m-1).  By induction: M([x, y]) - 1 has lowest
+    part XY - YX, with -1 on YX.  If M(w) - 1 has lowest part P of degree
+    k, with -1 on Y X^(k-1), then M([w, x]) - 1 = (M(w)X - XM(w)) M(w)^-1
+    (1 + X)^-1 has lowest part PX - XP, and only PX can give Y X^k, as
+    every term of XP starts with X.
     """
-    levels = _one(cap)
-    for factor in factors:
-        if isinstance(factor, int):
-            _letter_step(levels, factor, base)
+    up = {}
+    for i, g in enumerate(monomial, 1):
+        up.setdefault(g + 1, []).append(i)
+    steps = {-c: places for c, places in up.items()}
+    steps.update((c, places[::-1]) for c, places in up.items())
+    row = [1] + [0] * len(monomial)
+    for c in w.letters:
+        if c > 0:
+            for i in steps.get(c, ()):
+                row[i] += row[i - 1]
         else:
-            levels = _mul_into(_zero(cap), levels, factor, base)
-    return levels
-
-
-def dag_expand(bracket, cap):
-    """Expansion of a commutator bracket at the full cap, node by node.
-
-    Equal to ``magnus_expand`` of the word the bracket spells.  Walks the
-    node list of ``words.bracket_nodes``, giving each node [u, v] the series
-
-        M([u, v]) = U V U^-1 V^-1  and its inverse  M([v, u]) = V U V^-1 U^-1
-
-    with every factor kept up to the cap: no weight-filtration cuts, so
-    this route shares no truncation arithmetic with ``bracket_expand``.
-    A leaf stays a letter code, applied by the one-pass letter step.  Keys
-    are in the base of ``_key_base``.
-    """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    nodes = bracket_nodes(bracket)
-    base = _key_base(nodes)
-
-    def join(a, b):
-        (u, u_inv), (v, v_inv) = a, b
-        return (_chain_product((u, v, u_inv, v_inv), cap, base),
-                _chain_product((v, u, v_inv, u_inv), cap, base))
-
-    root = _fold_nodes(nodes, lambda c: (c, -c), join)[0]
-    return _series(_chain_product((root,), cap, base), cap, base)
+            for i in steps.get(c, ()):
+                row[i] -= row[i - 1]
+    return row[-1]
 
 
 def structural_weight(bracket):

@@ -294,14 +294,23 @@ class TestWitness:
             return cert._replace(weight=cert.weight + 1)
         monkeypatch.setattr(engine, "witness", raised)
         assert main(["witness", "--d", "3", "--m", "4"]) == 1
-        assert "F_m re-check" in capsys.readouterr().err
+        assert "F_m re-check failed: the weight is 4, the certificate " \
+            "prints 5" in capsys.readouterr().err
 
     def test_m_over_the_word_bound_exit_2(self, capsys):
         assert main(["witness", "--d", "3", "--m", "30"]) == 2
         assert capsys.readouterr().err.startswith(
             "error: m must be at most %d, got 30" % MAX_WITNESS_M)
 
-    def test_m_over_the_recheck_bound_exit_2(self, capsys, monkeypatch):
+    def test_m_at_the_word_bound_exit_0(self, capsys):
+        m = MAX_WITNESS_M
+        code, out = run(capsys, "--json", "witness", "--d", "3", "--m", str(m))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["lcs_weight"] == {"cap": m + 1, "value": m}
+        assert payload["verdicts"] == {"in_Fm": True, "in_G2": False}
+
+    def test_m_one_over_the_word_bound_exit_2(self, capsys, monkeypatch):
         from fglab import engine
 
         def no_certificate(*args):

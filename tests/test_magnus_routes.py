@@ -1,5 +1,7 @@
-"""Property tests: the bracket and flat Magnus routes against plain oracles."""
+"""Property tests: the bracket and flat Magnus routes and the one-coefficient
+walk against plain oracles."""
 
+import itertools
 import tracemalloc
 from functools import reduce
 
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fglab import magnus
+from fglab import engine, magnus
 from fglab.cli import main
 from fglab.magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
-                          dag_expand, lcs_weight, magnus_expand, series_mul,
+                          coefficient, lcs_weight, magnus_expand, series_mul,
                           series_one, series_weight, structural_weight)
 from fglab.words import (XY, Alphabet, Word, bracket_nodes, bracket_word,
                          commutator, generator, multiply, omega, omega_bracket)
@@ -113,18 +115,16 @@ def test_node_list_lists_each_shared_node_once(rank_bracket):
 
 @settings(max_examples=300, deadline=None)
 @given(shared_brackets(), st.integers(1, 8))
-def test_dag_route_equals_bracket_and_flat_routes(rank_bracket, cap):
+def test_bracket_route_equals_flat_route_on_shared_brackets(rank_bracket, cap):
     rank, bracket = rank_bracket
     word = bracket_word(bracket, RANKS[rank])
-    assert dag_expand(bracket, cap) == bracket_expand(bracket, cap) == \
-        magnus_expand(word, cap)
+    assert bracket_expand(bracket, cap) == magnus_expand(word, cap)
 
 
 def assert_routes_agree(bracket, alphabet, cap):
     word = bracket_word(bracket, alphabet)
-    routes = dag_expand(bracket, cap), bracket_expand(bracket, cap), \
-        magnus_expand(word, cap)
-    assert routes[0] == routes[1] == routes[2]
+    routes = bracket_expand(bracket, cap), magnus_expand(word, cap)
+    assert routes[0] == routes[1]
     for series in routes:
         for monomial in series.terms:
             assert type(monomial) is tuple
@@ -163,7 +163,8 @@ def test_routes_agree_on_sub_alphabets(alphabet, bracket, base, cap):
 @given(shared_brackets(), st.integers(1, 8))
 def test_structural_weight_bounds_magnus_weight(rank_bracket, cap):
     rank, bracket = rank_bracket
-    weight = series_weight(dag_expand(bracket, cap))
+    word = bracket_word(bracket, RANKS[rank])
+    weight = series_weight(magnus_expand(word, cap))
     # AtLeast(cap + 1) leaves the weight open above the cap
     if not isinstance(weight, AtLeast):
         assert structural_weight(bracket) <= weight
@@ -179,7 +180,6 @@ def test_stepped_caps_equal_one_expansion(word, cap):
 def test_node_list_routes_need_no_recursion():
     bracket = omega_bracket(5000)
     assert structural_weight(bracket) == 5002
-    assert series_weight(dag_expand(bracket, 3)) == AtLeast(4)
     assert series_weight(bracket_expand(bracket, 3)) == AtLeast(4)
 
 
@@ -195,12 +195,40 @@ def test_bracket_route_keeps_only_live_nodes():
     assert peak < 2_000_000
 
 
-def test_witness_fails_when_the_dag_route_drops_a_factor(capsys, monkeypatch):
-    chain_product = magnus._chain_product
-    monkeypatch.setattr(magnus, "_chain_product", lambda factors, cap, base:
-                        chain_product(factors[:-1], cap, base))
+def issue_with(monkeypatch, change):
+    """Make ``engine.witness`` issue its certificate changed by ``change``."""
+    issue = engine.witness
+    monkeypatch.setattr(engine, "witness", lambda d, m: change(issue(d, m)))
+
+
+def test_witness_fails_on_a_changed_letter(capsys, monkeypatch):
+    def flip_first_y(cert):
+        letters = list(cert.witness.letters)
+        letters[1] = -letters[1]
+        return cert._replace(witness=Word(cert.witness.alphabet, letters))
+    issue_with(monkeypatch, flip_first_y)
     assert main(["witness", "--d", "3", "--m", "5"]) == 1
-    assert "F_m re-check failed: the DAG expansion" in capsys.readouterr().err
+    assert "F_m re-check failed: the coefficient of y x^4 is -3, not -1" in \
+        capsys.readouterr().err
+
+
+def test_witness_fails_when_the_coefficient_skips_inverse_letters(
+        capsys, monkeypatch):
+    walk = magnus.coefficient
+    monkeypatch.setattr(magnus, "coefficient", lambda w, mono: walk(
+        Word(w.alphabet, [c for c in w.letters if c > 0]), mono))
+    assert main(["witness", "--d", "3", "--m", "5"]) == 1
+    assert "F_m re-check failed: the coefficient of y x^4 is" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bracket", [omega_bracket(2), (((X, -Y), X), X)])
+def test_witness_fails_when_the_bracket_does_not_spell_the_letters(
+        capsys, monkeypatch, bracket):
+    issue_with(monkeypatch, lambda cert: cert._replace(bracket=bracket))
+    assert main(["witness", "--d", "3", "--m", "5"]) == 1
+    assert "re-check failed: the bracket does not spell the printed word" in \
+        capsys.readouterr().err
 
 
 def test_witness_fails_on_a_structural_weight_off_by_one(capsys, monkeypatch):
@@ -213,11 +241,13 @@ def test_witness_fails_on_a_structural_weight_off_by_one(capsys, monkeypatch):
 
 def test_witness_fails_when_the_issuer_slack_is_too_small(capsys, monkeypatch):
     # the issuer truncates at cap - structural_weight; too small a slack
-    # leaves it an AtLeast that only the DAG re-check can catch
+    # leaves it an AtLeast, which the coefficient's bound from above,
+    # weight <= m, contradicts
     weight = magnus.structural_weight
     monkeypatch.setattr(magnus, "structural_weight", lambda b: weight(b) + 2)
     assert main(["witness", "--d", "3", "--m", "5"]) == 1
-    assert "F_m re-check failed: the DAG expansion" in capsys.readouterr().err
+    assert "F_m re-check failed: the weight is 5, the certificate prints " \
+        "AtLeast(7)" in capsys.readouterr().err
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,3 +283,35 @@ def test_shallow_cap_gives_at_least_on_both_routes(n):
 def test_bracket_route_reaches_deep_terms():
     for n in (20, 40):
         assert series_weight(bracket_expand(omega_bracket(n), n + 3)) == n + 2
+
+
+def monomials(rank, cap):
+    """Every monomial over rank variables, of degree 0 to cap."""
+    return [mono for k in range(cap + 1)
+            for mono in itertools.product(range(rank), repeat=k)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(words(max_size=16), st.integers(1, 5))
+def test_coefficient_equals_the_expansion(word, cap):
+    terms = magnus_expand(word, cap).terms
+    for mono in monomials(len(word.alphabet), cap):
+        assert coefficient(word, mono) == terms.get(mono, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_coefficient_of_a_product_sums_over_the_splits(data):
+    u = data.draw(words())
+    v = data.draw(words().filter(lambda w: w.alphabet == u.alphabet))
+    mono = tuple(data.draw(st.lists(st.integers(0, len(u.alphabet) - 1),
+                                    max_size=6)))
+    assert coefficient(multiply(u, v), mono) == sum(
+        coefficient(u, mono[:i]) * coefficient(v, mono[i:])
+        for i in range(len(mono) + 1))
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_omega_has_coefficient_minus_one_on_y_x_to_the_m_minus_1(m):
+    x, y = XY.index("x"), XY.index("y")
+    assert coefficient(omega(m - 2), (y,) + (x,) * (m - 1)) == -1
