@@ -206,44 +206,44 @@ def cmd_witness(args):
 def cmd_verify(args):
     n_max = args.n_max
     recurrence_n_max = min(n_max, RECURRENCE_N_CAP)
+    # (name, check of d, reason when it returns False); a check may instead
+    # raise VerificationError with its own reason.  Built on each call, so
+    # the engine functions are looked up when verify runs.
+    checks = [
+        ("recurrence", lambda d: engine.verify_recurrence(
+            engine.KernelSpec(d), recurrence_n_max), "recurrence mismatch"),
+        ("char_poly", engine.char_poly_check, "char_poly mismatch"),
+        ("eigen", engine.eigen_check, "eigen identities failed"),
+        ("nonvanishing", engine.nonvanishing_check,
+         "the all-n nonvanishing argument failed"),
+    ]
     rows = []
     failure = None
     for d in range(2, args.d_max + 1):
-        spec = engine.KernelSpec(d)
-        checks = {}
-        try:
-            engine.verify_recurrence(spec, recurrence_n_max)
-            checks["recurrence"] = True
-            checks["char_poly"] = engine.char_poly_check(d)
-            if not checks["char_poly"]:
-                raise engine.VerificationError("char_poly mismatch")
-            engine.eigen_check(d)
-            checks["eigen"] = True
-            checks["nonvanishing"] = engine.nonvanishing_check(d)
-            if not checks["nonvanishing"]:
-                raise engine.VerificationError("the all-n nonvanishing argument failed")
-        except engine.VerificationError as exc:
-            if failure is None:
-                failure = (d, str(exc))
-        rows.append({"d": d, **checks})
+        row = {"d": d}
+        rows.append(row)
+        # a row stops at its first failing check: the checks after it never
+        # run, so they get no key
+        for name, check, message in checks:
+            try:
+                row[name], reason = bool(check(d)), message
+            except engine.VerificationError as exc:
+                row[name], reason = False, str(exc)
+            if not row[name]:
+                failure = failure or (d, reason)
+                break
 
     if args.json:
         print(json.dumps({"n_max": n_max, "recurrence_n_max": recurrence_n_max,
                           "results": rows, "ok": failure is None},
                          sort_keys=True, separators=(",", ":")))
     else:
-        names = ["recurrence", "char_poly", "eigen", "nonvanishing"]
+        names = [name for name, _, _ in checks]
+        cells = {True: "pass", False: "FAIL", None: "skip"}
         print("d   " + "  ".join("%-12s" % n for n in names))
-        # a row stops at its first failing check: the checks after it never
-        # ran, so they read "skip" (and --json omits their keys)
         for row in rows:
-            cells = []
-            for n in names:
-                if cells and cells[-1] != "pass":
-                    cells.append("skip")
-                else:
-                    cells.append("pass" if row.get(n) else "FAIL")
-            print("%-3d " % row["d"] + "  ".join("%-12s" % c for c in cells))
+            print("%-3d " % row["d"]
+                  + "  ".join("%-12s" % cells[row.get(n)] for n in names))
         if failure:
             print("FAILED at d=%d: %s" % failure)
         else:

@@ -231,7 +231,8 @@ def eigen_check(d):
     monomial tuples are built once and shared by every pair.  Over the unit
     x_j[i] = t^(-ij), row i is sum_k A[i][k] t^((i - k) j) - 1 + t^j = 0: one
     sum over nonzeros per j for each distinct row of offsets (i - k) mod d.
-    Raises if any identity fails; the theorem's spectral step rests on it.
+    Raises if any identity fails.  A cross-check: ``nonvanishing_check``
+    proves A^n v_0 != 0 from ker A alone.
     """
     shapes = {frozenset(((i - k) % d, x) for k, x in row.items())
               for i, row in enumerate(_rows(transition_matrix(d)))}

@@ -165,20 +165,6 @@ def magnus_expand(w, cap):
     return _series(levels, cap, base)
 
 
-def _letter_levels(c, cap, base):
-    """The level list of letter c's series, in closed form."""
-    if c < 0:
-        levels, key, g = [], 0, -c - 1
-        for k in range(cap + 1):
-            levels.append({key: (-1) ** k})
-            key = key * base + g
-        return levels
-    levels = _one(cap)
-    if cap:
-        levels[1] = {c - 1: 1}
-    return levels
-
-
 def _mul_into(out, s, t, base, sign=1, start=0):
     """Add sign * s * t to the level list out, up to its top degree.
 
@@ -226,8 +212,8 @@ def bracket_expand(bracket, cap):
     M([v, u]) - 1 = -(UV - VU) V^-1 U^-1, reusing the difference; it is 1
     when wt(b) > s.
 
-    Leaves take the closed form of ``_letter_levels``, not the letter step
-    of ``magnus_expand``.  Keys are in the base of ``_key_base``.
+    A leaf is ``_letter_step`` applied to 1, up to degree 1 + s for the
+    letter and s for its inverse.  Keys are in the base of ``_key_base``.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -238,8 +224,10 @@ def bracket_expand(bracket, cap):
     base = _key_base(nodes)
 
     def leaf(c):
-        return (1, _letter_levels(c, 1 + slack, base),
-                _letter_levels(-c, slack, base))
+        letter, inverse = _one(1 + slack), _one(slack)
+        _letter_step(letter, c, base)
+        _letter_step(inverse, -c, base)
+        return 1, letter, inverse
 
     def join(a, b):
         (wu, big_u, u_inv), (wv, big_v, v_inv) = a, b

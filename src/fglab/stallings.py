@@ -350,10 +350,10 @@ def schreier_basis(graph, transversal):
     """
     alphabet = graph.alphabet
     tree = transversal.tree
-    pos = {v: i for i, v in enumerate(transversal.order)}
-    nontree = sorted(((u, g) for u, g, v in graph.edges()
-                      if tree[v] != g + 1 and tree[u] != -g - 1),
-                     key=lambda e: (pos[e[0]], e[1]))
+    rows = graph.steps[1:len(alphabet) + 1]
+    nontree = [(u, g) for u in transversal.order
+               for g, row in enumerate(rows)
+               if tree[row[u]] != g + 1 and tree[u] != -g - 1]
 
     preferred = transversal.preferred
     p_idx = alphabet.index(preferred) if preferred is not None else None

@@ -370,21 +370,44 @@ class TestVerify:
             "all checks passed for 2 <= d <= 3: recurrence for n <= 5; "
             "char_poly, eigen and nonvanishing for all n")
 
-    def test_checks_after_a_failure_read_skip(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("mode", ["raises", "returns_false"])
+    @pytest.mark.parametrize("position, check, function, message", [
+        (0, "recurrence", "verify_recurrence", "recurrence mismatch"),
+        (1, "char_poly", "char_poly_check", "char_poly mismatch"),
+        (2, "eigen", "eigen_check", "eigen identities failed"),
+        (3, "nonvanishing", "nonvanishing_check",
+         "the all-n nonvanishing argument failed"),
+    ], ids=["recurrence", "char_poly", "eigen", "nonvanishing"])
+    def test_a_failing_check_ends_its_row(self, capsys, monkeypatch, position,
+                                          check, function, message, mode):
         from fglab import engine
 
-        real = engine.char_poly_check
-        monkeypatch.setattr(engine, "char_poly_check",
-                            lambda d: d != 3 and real(d))
+        real = getattr(engine, function)
+
+        def failing_at_3(*args):
+            if getattr(args[0], "d", args[0]) != 3:
+                return real(*args)
+            if mode == "raises":
+                raise engine.VerificationError("planted %s failure" % check)
+            return False
+
+        monkeypatch.setattr(engine, function, failing_at_3)
+        reason = "planted %s failure" % check if mode == "raises" else message
         code, out = run(capsys, "verify", "--d-max", "4", "--n-max", "5")
         assert code == 1
         rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:4]}
-        assert rows == {"2": ["pass"] * 4, "3": ["pass", "FAIL", "skip", "skip"],
-                        "4": ["pass"] * 4}
-        assert out.splitlines()[-1] == "FAILED at d=3: char_poly mismatch"
-        code, out = run(capsys, "--json", "verify", "--d-max", "3", "--n-max", "5")
-        assert json.loads(out)["results"][1] == {"d": 3, "recurrence": True,
-                                                 "char_poly": False}
+        assert rows == {
+            "2": ["pass"] * 4,
+            "3": ["pass"] * position + ["FAIL"] + ["skip"] * (3 - position),
+            "4": ["pass"] * 4}
+        assert out.splitlines()[-1] == "FAILED at d=3: %s" % reason
+        code, out = run(capsys, "--json", "verify", "--d-max", "4", "--n-max", "5")
+        names = ["recurrence", "char_poly", "eigen", "nonvanishing"]
+        payload = json.loads(out)
+        assert code == 1 and payload["ok"] is False
+        assert payload["results"][1] == {"d": 3, **dict.fromkeys(names[:position], True),
+                                         check: False}
+        assert payload["results"][2] == {"d": 4, **dict.fromkeys(names, True)}
 
     def test_d_max_1_usage_error(self):
         with pytest.raises(SystemExit) as err:

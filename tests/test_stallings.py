@@ -395,6 +395,24 @@ class TestTransversalProperties:
         assert len(b.edges) == len(b.alphabet) == (
             len(g.edges()) - g.n_vertices + 1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(transitive_actions(), st.data())
+    def test_basis_edges_in_bfs_then_generator_order(self, action, data):
+        alphabet, perms = action
+        g, _ = stabilizer_graph(alphabet, perms)
+        preferred = data.draw(st.sampled_from((None,) + alphabet.names))
+        t = schreier_transversal(g, preferred=preferred)
+        pos = {v: i for i, v in enumerate(t.order)}
+        nontree = sorted(((u, gen) for u, gen, v in g.edges()
+                          if t.tree[v] != gen + 1 and t.tree[u] != -gen - 1),
+                         key=lambda e: (pos[e[0]], e[1]))
+        # a lone non-tree edge of the preferred generator comes first
+        p_idx = None if preferred is None else alphabet.index(preferred)
+        first = [e for e in nontree if e[1] == p_idx]
+        if len(first) == 1:
+            nontree = first + [e for e in nontree if e[1] != p_idx]
+        assert schreier_basis(g, t).edges == tuple(nontree)
+
 
 class TestContains:
     def test_generators_accepted(self):
