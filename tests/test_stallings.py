@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fglab.stallings import (INFINITE, NotInSubgroupError, build_graph,
-                             contains, evaluate, from_json,
+from fglab import stallings
+from fglab.stallings import (INFINITE, NotInSubgroupError, SubgroupGraph,
+                             build_graph, contains, evaluate, from_json,
                              in_derived_subgroup, index, is_normal,
                              kernel_graph, rewrite, schreier_basis,
                              schreier_transversal)
@@ -81,6 +82,63 @@ class TestBuildGraph:
             shuffled = gens[:]
             rng.shuffle(shuffled)
             assert build_graph(shuffled, AB) == reference
+
+
+def graph_of_edges(alphabet, n, edges):
+    """The graph on vertices 0..n-1 with the edges (source, gen, target)."""
+    steps = [range(n)] + [[None] * n for _ in range(2 * len(alphabet))]
+    for u, g, v in edges:
+        steps[g + 1][u], steps[-g - 1][v] = v, u
+    return SubgroupGraph(alphabet, steps)
+
+
+class TestGraphEquality:
+    def test_equal_under_renumbering(self):
+        g = index3_graph()
+        swap = [0, 2, 1]
+        renumbered = graph_of_edges(AB, 3, [(swap[u], gen, swap[v])
+                                            for u, gen, v in g.edges()])
+        assert renumbered.steps != g.steps
+        assert renumbered == g and g == renumbered
+
+    def test_base_vertex_matters(self):
+        # both are an x-cycle of length 2 with one y-loop, at the base in
+        # one and off it in the other
+        conj = build_graph([parse_word(t, XY) for t in ("x^2", "x y x^-1")], XY)
+        flat = build_graph([parse_word(t, XY) for t in ("x^2", "y")], XY)
+        assert conj.n_vertices == flat.n_vertices == 2
+        assert len(conj.edges()) == len(flat.edges()) == 3
+        assert conj != flat and flat != conj
+
+    def test_redirected_edge(self):
+        g = build_graph([parse_word(t, XY) for t in ("x^2", "x y x^-1")], XY)
+        edges = g.edges()
+        u, gen, v = next(e for e in edges if e[1] == 1)
+        # the y-loop at 1 now leads to the base: the graph of <x^2, x y>
+        moved = [(u, gen, 0) if e == (u, gen, v) else e for e in edges]
+        other = graph_of_edges(XY, g.n_vertices, moved)
+        assert other == build_graph([parse_word(t, XY)
+                                     for t in ("x^2", "x y")], XY)
+        assert other != g and g != other
+
+    def test_same_shape_without_missing_edges(self):
+        # two index-3 kernels: every vertex has every edge, so only the
+        # targets tell them apart
+        assert kernel_graph({"x": 1, "y": 0}, 3, XY) != kernel_graph(
+            {"x": 1, "y": 1}, 3, XY)
+
+    def test_covering_is_not_equal(self):
+        # the x-cycle of length 4 maps onto two x-cycles of length 2 along
+        # every edge, but not one to one
+        cycle = graph_of_edges(XY, 4, [(v, 0, (v + 1) % 4) for v in range(4)])
+        pairs = graph_of_edges(XY, 4, [(0, 0, 1), (1, 0, 0),
+                                       (2, 0, 3), (3, 0, 2)])
+        assert cycle != pairs
+
+    def test_vertex_count(self):
+        one = build_graph([parse_word("x", XY)], XY)
+        two = build_graph([parse_word("x^2", XY)], XY)
+        assert one != two and two != one
 
 
 RANKS = {rank: Alphabet(("a", "b", "c")[:rank]) for rank in (1, 2, 3)}
@@ -174,6 +232,21 @@ def bfs_relabelled(perms):
     return {c: [label[t[v]] for v in order] for c, t in tables.items()}
 
 
+def bfs_tables(g):
+    """The graph's tables by signed code, its vertices renumbered by BFS
+    from the base with codes in the order 1, -1, 2, -2, ..., so that they
+    can be read against tables numbered the same way."""
+    codes = [s * c for c in range(1, len(g.alphabet) + 1) for s in (1, -1)]
+    order, label = [0], {0: 0}
+    for v in order:                      # grows while it is read
+        for c in codes:
+            t = g.steps[c][v]
+            if t is not None and t not in label:
+                label[t] = len(order)
+                order.append(t)
+    return {c: [label.get(g.steps[c][v]) for v in order] for c in codes}
+
+
 class TestFoldProperties:
     @settings(max_examples=300, deadline=None)
     @given(generator_lists())
@@ -214,12 +287,10 @@ class TestFoldProperties:
     @given(transitive_actions())
     def test_fold_gives_back_the_action(self, action):
         # the Schreier generators of the stabilizer of point 0 fold to the
-        # action's own graph, relabelled by BFS from point 0
+        # action's own graph; both are read renumbered by BFS from the base
         alphabet, perms = action
         g, _ = stabilizer_graph(alphabet, perms)
-        expected = bfs_relabelled(perms)
-        for c, table in expected.items():
-            assert list(g.steps[c]) == table
+        assert bfs_tables(g) == bfs_relabelled(perms)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(transitive_actions(), regular_actions()))
@@ -321,6 +392,24 @@ def folding_generator_lists(draw):
     return alphabet, [w for w in draw(st.permutations(gens)) if w]
 
 
+ABC = Alphabet(["a", "b", "c"])
+
+
+def long_random_words():
+    """5 random reduced 10000-letter words over a, b, c: their fold makes
+    nearly 50000 vertices and merges none."""
+    rng = random.Random(31)
+    gens = []
+    for _ in range(5):
+        letters = [1]
+        while len(letters) < 10_000:
+            c = rng.choice((1, -1, 2, -2, 3, -3))
+            if c != -letters[-1]:
+                letters.append(c)
+        gens.append(Word(ABC, letters))
+    return gens
+
+
 class TestFoldOracle:
     @settings(max_examples=400, deadline=None)
     @given(folding_generator_lists())
@@ -328,7 +417,7 @@ class TestFoldOracle:
         alphabet, gens = case
         g = build_graph(gens, alphabet)
         expected = naive_fold(gens, len(alphabet))
-        assert {c: list(g.steps[c]) for c in expected} == expected
+        assert bfs_tables(g) == expected
         assert list(g.steps[0]) == list(range(len(expected[1])))
 
     def test_memory_is_sized_by_vertices_not_letters(self):
@@ -352,27 +441,51 @@ class TestFoldOracle:
         assert peak([w] * 50) < 2 * peak([w])
 
     def test_peak_memory_is_near_the_result(self):
-        # the BFS tree turns into the labels in place, and each column is
-        # relabelled and dropped in turn: 2.2 here, 2.9 with tree and labels
+        # the fold's own numbering is kept, and with no merge each column
+        # becomes its tuple and is dropped in turn: 1.1 here; 2.2 with a
+        # BFS relabelling done in place, 2.9 with the BFS tree and the labels
         # side by side and every column picked before any was dropped
-        abc = Alphabet(["a", "b", "c"])
-        rng = random.Random(31)
-        gens = []
-        for _ in range(5):
-            letters = [1]
-            while len(letters) < 10_000:
-                c = rng.choice((1, -1, 2, -2, 3, -3))
-                if c != -letters[-1]:
-                    letters.append(c)
-            gens.append(Word(abc, letters))
+        gens = long_random_words()
         tracemalloc.start()
         try:
-            g = build_graph(gens, abc)
+            g = build_graph(gens, ABC)
             result, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert g.n_vertices > 40_000
         assert peak < 2.5 * result
+
+    def test_fold_runs_no_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("build_graph searched its graph")
+
+        monkeypatch.setattr(stallings, "_bfs", search)
+        assert build_graph(long_random_words(), ABC).n_vertices > 40_000
+
+    @settings(max_examples=200, deadline=None)
+    @given(folding_generator_lists(), st.data())
+    def test_outputs_ignore_generator_order(self, case, data):
+        alphabet, gens = case
+        shuffled = data.draw(st.permutations(gens))
+        preferred = data.draw(st.sampled_from((None,) + alphabet.names))
+        element = identity(alphabet)
+        for i in data.draw(st.lists(st.integers(0, len(gens) - 1),
+                                    max_size=6) if gens else st.just([])):
+            w = gens[i]
+            element = multiply(element,
+                               inverse(w) if data.draw(st.booleans()) else w)
+
+        def outputs(gens):
+            g = build_graph(gens, alphabet)
+            if index(g) is INFINITE:
+                return INFINITE, contains(g, element)
+            t = schreier_transversal(g, preferred=preferred)
+            b = schreier_basis(g, t)
+            return (index(g), is_normal(g),
+                    [str(b.word(i)) for i in range(len(b.edges))],
+                    str(rewrite(g, t, b, element)))
+
+        assert outputs(shuffled) == outputs(gens)
 
 
 class TestTransversalProperties:
