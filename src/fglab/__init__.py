@@ -18,7 +18,7 @@ from .stallings import (INFINITE, InfiniteIndexError, NotInSubgroupError,
 from .magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
                      coefficient, in_lcs, lcs_weight, magnus_expand, series_mul,
                      series_one, series_weight, structural_weight,
-                     weight_reaches, weight_to_json)
+                     weight_to_json)
 from .engine import (EigenPair, KernelSpec, VerificationError,
                      WitnessCertificate, canonical_basis, char_poly_check,
                      conjugation_table, eigen_check, iterate,

@@ -329,15 +329,12 @@ class WitnessCertificate(namedtuple(
 def witness(d, m):
     """Certificate that F_m is not inside [G, G]: the word omega_(m-2).
 
-    Verifies, before issuing, that the word's Magnus weight is at least m
-    and that its P-vector is nonzero.
-    The weight comes from one expansion of the bracket ``omega_bracket(m-2)``
-    by the weight filtration; the witness ``omega(m-2)`` is the word that
-    bracket spells.
-    The expansion runs at cap m + 1, which pins the weight exactly.  A d
-    above ``stallings.MAX_KERNEL_D`` raises ValueError before any graph is
-    built, and so does an m whose word would exceed
-    ``words.MAX_WORD_LETTERS`` (m >= 26), before any expansion.
+    The weight is issued by one expansion of ``omega_bracket(m-2)`` by the
+    weight filtration at cap m + 1, and the P-vector by Schreier rewriting
+    of the word it spells, ``omega(m-2)``; ``_recheck`` then reads the
+    certificate by independent routes.  A d above ``stallings.MAX_KERNEL_D``
+    raises ValueError before any graph is built, and so does an m >= 26,
+    whose word exceeds ``words.MAX_WORD_LETTERS``, before any expansion.
     """
     if m < 2:
         raise ValueError("m must be >= 2 (G_1 = G is not constrained)")
@@ -349,12 +346,43 @@ def witness(d, m):
     cap = m + 1
     bracket = omega_bracket(m - 2)
     weight = magnus.series_weight(magnus.bracket_expand(bracket, cap))
-    if not magnus.weight_reaches(weight, m, cap):
-        raise VerificationError(
-            "omega_%d failed the F_%d membership certificate" % (m - 2, m))
     a_sum, vec = basis_exponents(spec, word)
-    if not any(vec):
-        raise VerificationError("P-vector of omega_%d vanished for d=%d" % (m - 2, d))
-    return WitnessCertificate(d=d, m=m, witness=word, bracket=bracket,
+    cert = WitnessCertificate(d=d, m=m, witness=word, bracket=bracket,
                               p_vec=vec, a_sum=a_sum, cap=cap, weight=weight,
                               basis=_machinery(d)[2])
+    _recheck(cert)
+    return cert
+
+
+def _recheck(cert):
+    """Raise VerificationError unless a witness certificate re-checks.
+
+    Weight <= m: the Magnus coefficient of y x^(m-1) in the letters is -1
+    (Chen, Fox and Lyndon, 1958).  Weight >= m: the bracket spells those
+    letters, and its structural weight reaches m, as [F_i, F_j] lies in
+    F_(i+j).  The printed weight must be that m.  G_2: counting y letters
+    per x-residue, with no graph, gives the a-sum and a nonzero P-vector.
+    """
+    alphabet, m = cert.witness.alphabet, cert.m
+    x, y = alphabet.index("x"), alphabet.index("y")
+    found = magnus.coefficient(cert.witness, (y,) + (x,) * (m - 1))
+    if found != -1:
+        raise VerificationError(
+            "independent F_m re-check failed: the coefficient of y x^%d is %d, "
+            "not -1" % (m - 1, found))
+    if words.bracket_word(cert.bracket, alphabet) != cert.witness:
+        raise VerificationError(
+            "independent re-check failed: the bracket does not spell the "
+            "printed word")
+    structural = magnus.structural_weight(cert.bracket)
+    if structural < m:
+        raise VerificationError(
+            "independent F_m re-check failed: structural weight %d < %d"
+            % (structural, m))
+    if cert.weight != m:
+        raise VerificationError(
+            "independent F_m re-check failed: the weight is %d, the "
+            "certificate prints %r" % (m, cert.weight))
+    counted = path_counts(cert.d, cert.witness)
+    if counted != (cert.a_sum, cert.p_vec) or not any(cert.p_vec):
+        raise VerificationError("independent G_2 re-check failed")

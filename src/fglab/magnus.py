@@ -259,7 +259,7 @@ def coefficient(w, monomial):
     subtracts walking i upward.  A letter costs O(k), and no series, level
     list or bracket is involved.
 
-    ``fglab witness`` bounds the weight of omega_(m-2) from above by its
+    ``engine.witness`` re-checks the weight of omega_(m-2) from above by its
     coefficient -1 on y x^(m-1).  By induction: M([x, y]) - 1 has lowest
     part XY - YX, with -1 on YX.  If M(w) - 1 has lowest part P of degree
     k, with -1 on Y X^(k-1), then M([w, x]) - 1 = (M(w)X - XM(w)) M(w)^-1
@@ -331,27 +331,15 @@ def lcs_weight(w, cap):
     return series_weight(magnus_expand(w, cap))
 
 
-def _check_term(m, cap):
+def in_lcs(w, m, cap):
+    """Whether w lies in the m-th lower central series term, certified at cap.
+
+    Raises ValueError when cap < m: such a truncation cannot certify.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     if cap < m:
         raise ValueError("cap %d cannot certify membership in term %d" % (cap, m))
-
-
-def weight_reaches(weight, m, cap):
-    """Whether a weight found at truncation cap puts its word in the m-th term.
-
-    Raises ValueError when cap < m: such a truncation cannot certify.
-    """
-    _check_term(m, cap)
-    if weight is IDENTITY:
-        return True
-    if isinstance(weight, AtLeast):
-        return weight.bound >= m
-    return weight >= m
-
-
-def in_lcs(w, m, cap):
-    """Whether w lies in the m-th lower central series term, certified at cap."""
-    _check_term(m, cap)
-    return weight_reaches(lcs_weight(w, cap), m, cap)
+    weight = lcs_weight(w, cap)
+    return weight is IDENTITY or (
+        weight.bound if isinstance(weight, AtLeast) else weight) >= m

@@ -93,6 +93,13 @@ class TestSubgroup:
     def test_rewrite_outside_subgroup_exit_3(self, capsys):
         assert main(["subgroup", "rewrite", fixture("kernel_d3.json"), "x"]) == 3
 
+    @pytest.mark.parametrize("query", ["contains", "rewrite"])
+    def test_word_query_without_a_word_exit_2(self, capsys, query):
+        assert main(["subgroup", query, fixture("kernel_d3.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s needs a word argument\n" % query
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["subgroup", "index", "no_such_file.json"]) == 2
 
@@ -129,8 +136,8 @@ class TestSubgroup:
         assert err.startswith("error: %s: %s " % (path, field))
 
     @pytest.mark.parametrize("content", [
-        b'{"alphabet": ["x", "y"], generators: []}', b'\xff{}'],
-        ids=["not-json", "not-utf8"])
+        b'{"alphabet": ["x", "y"], generators: []}', b'\xff{}', b'["x", "y"]'],
+        ids=["not-json", "not-utf8", "not-an-object"])
     def test_unreadable_file_exit_2(self, capsys, tmp_path, content):
         path = tmp_path / "sub.json"
         path.write_bytes(content)
@@ -276,23 +283,23 @@ class TestWitness:
 
     def test_g2_recheck_catches_a_wrong_p_vector(self, capsys, monkeypatch):
         from fglab import engine
-        issue = engine.witness
+        build = engine.WitnessCertificate
 
-        def flipped(d, m):
-            cert = issue(d, m)
+        def flipped(**fields):
+            cert = build(**fields)
             return cert._replace(p_vec=tuple(-p for p in cert.p_vec))
-        monkeypatch.setattr(engine, "witness", flipped)
+        monkeypatch.setattr(engine, "WitnessCertificate", flipped)
         assert main(["witness", "--d", "3", "--m", "3"]) == 1
         assert "G_2 re-check" in capsys.readouterr().err
 
     def test_fm_recheck_catches_a_wrong_weight(self, capsys, monkeypatch):
         from fglab import engine
-        issue = engine.witness
+        build = engine.WitnessCertificate
 
-        def raised(d, m):
-            cert = issue(d, m)
+        def raised(**fields):
+            cert = build(**fields)
             return cert._replace(weight=cert.weight + 1)
-        monkeypatch.setattr(engine, "witness", raised)
+        monkeypatch.setattr(engine, "WitnessCertificate", raised)
         assert main(["witness", "--d", "3", "--m", "4"]) == 1
         assert "F_m re-check failed: the weight is 4, the certificate " \
             "prints 5" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fglab import engine, magnus, stallings
+from fglab.cli import main
 from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
                           char_poly_check, conjugation_table, eigen_check,
                           iterate, nonvanishing_check, p_vector, path_counts,
                           transition_matrix, verify_recurrence, witness)
-from fglab.words import (XY, bracket_word, commutator, generator, omega,
-                         parse_word)
+from fglab.words import (XY, Word, bracket_word, commutator, generator,
+                         inverse, omega, omega_bracket, parse_word)
 
 
 class TestCanonicalBasis:
@@ -44,6 +46,14 @@ class TestConjugationTable:
         for k in range(1, d):
             assert str(table["b%d" % k]) == "b%d" % (k + 1)
         assert str(table["b%d" % d]) == "a b1 a^-1"
+
+    def test_wrong_rewriting_fails(self, monkeypatch):
+        rewrite = stallings.rewrite
+        monkeypatch.setattr(stallings, "rewrite",
+                            lambda *args: inverse(rewrite(*args)))
+        with pytest.raises(VerificationError,
+                           match="conjugation of a gave a\\^-1, expected a"):
+            conjugation_table(KernelSpec(3))
 
 
 class TestPVector:
@@ -89,6 +99,10 @@ class TestTransitionMatrix:
 class TestIterate:
     def test_n0_is_start_vector(self):
         assert iterate(3, 0) == (-1, 1, 0)
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            iterate(3, -1)
 
     def test_d2_closed_form(self):
         for n in range(61):
@@ -138,6 +152,14 @@ class TestRecurrence:
         perturb_matrix(monkeypatch)
         with pytest.raises(VerificationError, match="d=5 n=1: rewriting"):
             verify_recurrence(KernelSpec(5), 3)
+
+    def test_nonzero_a_exponent_fails(self, monkeypatch):
+        exponents = engine.basis_exponents
+        monkeypatch.setattr(engine, "basis_exponents", lambda spec, w: (
+            1, exponents(spec, w)[1]))
+        with pytest.raises(VerificationError,
+                           match="d=3 n=0: nonzero a-exponent 1"):
+            verify_recurrence(KernelSpec(3), 2)
 
     def test_commutator_chain_spells_omega(self):
         # verify_recurrence carries omega_(n+1) = [omega_n, x] step by step
@@ -348,6 +370,10 @@ class TestPathCounts:
             path_counts(3, parse_word("x y", XY))
 
 
+def flip_second_letter(w):
+    return Word(w.alphabet, w.letters[:1] + (-w.letters[1],) + w.letters[2:])
+
+
 class TestWitness:
     def test_d3_m2(self):
         cert = witness(3, 2)
@@ -392,6 +418,47 @@ class TestWitness:
     def test_bracket_spells_the_witness(self):
         cert = witness(3, 5)
         assert bracket_word(cert.bracket, XY) == cert.witness == omega(3)
+
+    # each tamper changes one field of the d = 3, m = 5 certificate that
+    # engine.witness builds, and the re-check that reads it fails
+    @pytest.mark.parametrize("change, message", [
+        (lambda c: c._replace(witness=flip_second_letter(c.witness)),
+         "F_m re-check failed: the coefficient of y x^4 is -3, not -1"),
+        (lambda c: c._replace(bracket=omega_bracket(2)),
+         "re-check failed: the bracket does not spell the printed word"),
+        (lambda c: c._replace(weight=4),
+         "F_m re-check failed: the weight is 5, the certificate prints 4"),
+        (lambda c: c._replace(weight=magnus.AtLeast(7)),
+         "F_m re-check failed: the weight is 5, the certificate prints "
+         "AtLeast(7)"),
+        (lambda c: c._replace(p_vec=tuple(-p for p in c.p_vec)),
+         "G_2 re-check failed"),
+        (lambda c: c._replace(a_sum=c.a_sum + 1), "G_2 re-check failed"),
+        (lambda c: c._replace(d=4), "G_2 re-check failed"),
+    ], ids=["witness", "bracket", "weight", "inexact-weight", "p_vec", "a_sum",
+            "d"])
+    def test_tampered_certificate_fails(self, capsys, monkeypatch, change,
+                                        message):
+        build = engine.WitnessCertificate
+        monkeypatch.setattr(engine, "WitnessCertificate",
+                            lambda **fields: change(build(**fields)))
+        with pytest.raises(VerificationError,
+                           match="^independent %s$" % re.escape(message)):
+            witness(3, 5)
+        assert main(["witness", "--d", "3", "--m", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "verification failed: independent %s\n" % message
+
+    def test_vanished_p_vector_fails(self, monkeypatch):
+        # counts that agree with a zero P-vector still fail: the witness
+        # must lie outside [G, G]
+        build = engine.WitnessCertificate
+        monkeypatch.setattr(engine, "WitnessCertificate", lambda **fields: (
+            build(**fields)._replace(a_sum=0, p_vec=(0, 0, 0))))
+        monkeypatch.setattr(engine, "path_counts", lambda d, w: (0, (0,) * d))
+        with pytest.raises(VerificationError, match="G_2 re-check failed"):
+            witness(3, 5)
 
     def test_sound_against_independent_modules(self):
         cert = witness(4, 3)

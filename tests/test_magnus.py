@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from fglab.magnus import (IDENTITY, AtLeast, NoncommSeries, in_lcs,
-                          lcs_weight, magnus_expand, series_mul, series_one)
-from fglab.words import XY, exponent_sums, identity, inverse, multiply, omega
+from fglab.magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
+                          in_lcs, lcs_weight, magnus_expand, series_mul,
+                          series_one)
+from fglab.words import (XY, exponent_sums, identity, inverse, multiply, omega,
+                         omega_bracket)
 
 from test_words import random_word
 
@@ -46,6 +48,14 @@ class TestExpand:
 
     def test_identity_word(self):
         assert magnus_expand(identity(XY), 4) == series_one(4)
+
+    @pytest.mark.parametrize("build", [
+        lambda: NoncommSeries(0), lambda: magnus_expand(omega(0), 0),
+        lambda: bracket_expand(omega_bracket(0), 0)],
+        ids=["series", "magnus_expand", "bracket_expand"])
+    def test_cap_below_one_rejected(self, build):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            build()
 
     def test_inverse_letter_series(self):
         from fglab.words import parse_word
@@ -129,3 +139,7 @@ class TestInLcs:
     def test_cap_too_small(self):
         with pytest.raises(ValueError):
             in_lcs(omega(0), 5, 4)
+
+    def test_term_below_one_rejected(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            in_lcs(omega(0), 0, 4)

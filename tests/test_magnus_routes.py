@@ -196,9 +196,10 @@ def test_bracket_route_keeps_only_live_nodes():
 
 
 def issue_with(monkeypatch, change):
-    """Make ``engine.witness`` issue its certificate changed by ``change``."""
-    issue = engine.witness
-    monkeypatch.setattr(engine, "witness", lambda d, m: change(issue(d, m)))
+    """Make ``engine.witness`` build its certificate changed by ``change``."""
+    build = engine.WitnessCertificate
+    monkeypatch.setattr(engine, "WitnessCertificate",
+                        lambda **fields: change(build(**fields)))
 
 
 def test_witness_fails_on_a_changed_letter(capsys, monkeypatch):

@@ -557,6 +557,12 @@ class TestContains:
         with pytest.raises(ValueError):
             contains(index3_graph(), parse_word("x", XY))
 
+    def test_path_that_leaves_an_infinite_index_graph(self):
+        # <x> has no y-edge, so the path of x y breaks off the graph
+        g = build_graph([parse_word("x", XY)], XY)
+        assert g.trace(parse_word("x y", XY)) is None
+        assert not contains(g, parse_word("x y", XY))
+
 
 class TestIndex:
     def test_paper_subgroup(self):
@@ -607,6 +613,14 @@ class TestKernelGraph:
     def test_small_modulus_rejected(self):
         with pytest.raises(ValueError):
             kernel_graph({"x": 1, "y": 0}, 1, XY)
+
+    @pytest.mark.parametrize("f, message", [
+        ({"x": 1}, r"map undefined on \['y'\]"),
+        ({"x": 1, "y": 0, "z": 3}, r"map defined off the alphabet on \['z'\]"),
+    ], ids=["missing", "extra"])
+    def test_map_must_cover_exactly_the_alphabet(self, f, message):
+        with pytest.raises(ValueError, match=message):
+            kernel_graph(f, 3, XY)
 
 
 class TestTransversal:
@@ -682,6 +696,17 @@ class TestRewrite:
         g, t, b = kernel_machinery(3)
         with pytest.raises(NotInSubgroupError):
             rewrite(g, t, b, parse_word("x", XY))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, t, b: build_graph([parse_word("a", AB)], XY), "not over"),
+        (lambda g, t, b: rewrite(g, t, b, parse_word("a", AB)),
+         "alphabet mismatch"),
+        (lambda g, t, b: evaluate(b, parse_word("x", XY)),
+         "not over the basis alphabet"),
+    ], ids=["build_graph", "rewrite", "evaluate"])
+    def test_word_over_another_alphabet_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(*kernel_machinery(3))
 
     def test_round_trip(self):
         rng = random.Random(43)

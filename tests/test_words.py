@@ -135,6 +135,10 @@ class TestGroupOps:
         with pytest.raises(ValueError):
             multiply(parse_word("x", XY), parse_word("a", other))
 
+    def test_generator_negative_power(self):
+        assert str(generator(XY, "y", -2)) == "y^-2"
+        assert generator(XY, "x", -3) == inverse(generator(XY, "x", 3))
+
     def test_inverse_examples(self):
         assert str(inverse(parse_word("x y", XY))) == "y^-1 x^-1"
         assert inverse(identity(XY)) == identity(XY)
