@@ -153,18 +153,16 @@ def cmd_witness(args):
     if args.m > MAX_WITNESS_M:
         raise ValueError("m must be at most %d, got %d (the witness word has "
                          "2^m + 2 letters)" % (MAX_WITNESS_M, args.m))
-    cert = engine.witness(args.d, args.m)
-    payload = cert.to_dict()
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    payload = engine.witness(args.d, args.m).to_dict()
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         if not args.json:
             print("wrote %s" % args.out)
     if args.json:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     elif not args.out:
-        print(text)
+        print(json.dumps(payload, sort_keys=True, indent=2))
     return 0
 
 
@@ -242,18 +240,15 @@ def build_parser():
     p.add_argument("-a", "--alphabet", required=True,
                    help="comma-separated generator names")
     p.add_argument("word")
-    p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("omega", help="the witness word omega_n over {x, y}")
     p.add_argument("n", type=_positive(0))
-    p.set_defaults(func=cmd_omega)
 
     p = sub.add_parser("subgroup", help="queries on a subgroup description file")
     p.add_argument("query",
                    choices=["index", "normal", "contains", "rewrite", "basis"])
     p.add_argument("file", help="subgroup JSON file")
     p.add_argument("word", nargs="?")
-    p.set_defaults(func=cmd_subgroup)
 
     p = sub.add_parser("weight", help="lower-central-series weight of a word")
     p.add_argument("--cap", type=_positive(1, magnus.MAX_CAP),
@@ -262,29 +257,36 @@ def build_parser():
     p.add_argument("-a", "--alphabet",
                    help="generator names (default: inferred from the word)")
     p.add_argument("word")
-    p.set_defaults(func=cmd_weight)
 
     p = sub.add_parser("witness",
                        help="certificate: a word of F_m outside [G, G]")
     p.add_argument("--d", type=_positive(2), required=True)
     p.add_argument("--m", type=_positive(2), required=True)
     p.add_argument("--out", help="write the certificate JSON to this file")
-    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="run the full verification battery")
     p.add_argument("--d-max", type=_positive(2, MAX_VERIFY_D),
                    default=DEFAULT_D_MAX)
     p.add_argument("--n-max", type=_positive(1), default=DEFAULT_N_MAX)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI command on ``argv`` and return its exit code.
+
+    In-process callers share one parser, built on the first call, and each
+    command is looked up by name when it runs, so a patched ``cmd_*`` runs.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except (stallings.NotInSubgroupError, stallings.InfiniteIndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from fglab import magnus
+from fglab import cli, magnus
 from fglab.cli import MAX_VERIFY_D, MAX_WITNESS_M, build_parser, main
 
 FIXTURES = resources.files("fglab") / "fixtures"
@@ -281,6 +281,44 @@ class TestWitness:
         payload = json.loads(target.read_text())
         assert payload["p_vector"] == [-4, 4]
 
+    def test_out_file_bytes(self, capsys, tmp_path):
+        # json.dumps(payload, sort_keys=True, indent=2) + "\n", with or
+        # without --json; --json still prints the compact form on stdout
+        frozen = """{
+  "a_sum": 0,
+  "basis": [
+    "x^2",
+    "y",
+    "x y x^-1"
+  ],
+  "d": 2,
+  "lcs_weight": {
+    "cap": 3,
+    "value": 2
+  },
+  "m": 2,
+  "p_vector": [
+    -1,
+    1
+  ],
+  "transversal": [
+    "",
+    "x"
+  ],
+  "verdicts": {
+    "in_Fm": true,
+    "in_G2": false
+  },
+  "witness": "x y x^-1 y^-1"
+}
+"""
+        human, compact = tmp_path / "human.json", tmp_path / "compact.json"
+        args = ("witness", "--d", "2", "--m", "2", "--out")
+        assert run(capsys, *args, str(human)) == (0, "wrote %s" % human)
+        assert run(capsys, "--json", *args, str(compact)) == (
+            0, json.dumps(json.loads(frozen), separators=(",", ":")))
+        assert human.read_bytes() == compact.read_bytes() == frozen.encode()
+
     def test_g2_recheck_catches_a_wrong_p_vector(self, capsys, monkeypatch):
         from fglab import engine
         build = engine.WitnessCertificate
@@ -454,6 +492,44 @@ class TestJsonStability:
             assert str(parse_word(out, XY)) == out
 
 
+class TestOneParser:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Clear main's parser cache and count the parsers built after that."""
+        monkeypatch.setattr(cli, "_parser", None)
+        build, built = cli.build_parser, []
+
+        def counted():
+            built.append(1)
+            return build()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return built
+
+    def test_one_parser_and_no_state_between_calls(self, capsys, builds):
+        good = ("witness", "--d", "3", "--m", "3")
+        first = run(capsys, *good)
+        assert first[0] == 0
+        with pytest.raises(SystemExit) as err:   # argparse rejects d = 1
+            main(["--json", "witness", "--d", "1", "--m", "2"])
+        assert err.value.code == 2
+        assert main(["--json", "reduce", "-a", "x,y", "z"]) == 2
+        with pytest.raises(SystemExit) as err:
+            main(["--help"])
+        assert err.value.code == 0
+        capsys.readouterr()
+        assert run(capsys, *good) == first
+        assert builds == [1]
+
+    def test_commands_are_looked_up_when_they_run(self, capsys, monkeypatch):
+        assert run(capsys, "omega", "0") == (0, "x y x^-1 y^-1")
+
+        def patched(args):
+            print("patched omega %d" % args.n)
+            return 0
+        monkeypatch.setattr(cli, "cmd_omega", patched)
+        assert run(capsys, "omega", "0") == (0, "patched omega 0")
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses_or_inspect(self):
         # each CLI run is a fresh interpreter; dataclasses and the inspect,
@@ -465,3 +541,23 @@ class TestStartup:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": SRC}).stdout
         assert out == "[]\n"
+
+    def test_import_builds_no_parser(self):
+        # main builds the one parser on its first call, never at import
+        code = ("import argparse\n"
+                "built, init = [], argparse.ArgumentParser.__init__\n"
+                "def counted(self, *args, **kwargs):\n"
+                "    built.append(1)\n"
+                "    init(self, *args, **kwargs)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "from fglab import cli\n"
+                "print(len(built), cli._parser is None)\n"
+                "cli.main(['omega', '0'])\n"
+                "first = len(built)\n"
+                "cli.main(['omega', '1'])\n"
+                "print(first > 0, len(built) == first)\n")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC}).stdout
+        assert out.splitlines()[0] == "0 True"
+        assert out.splitlines()[-1] == "True True"
