@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import engine, magnus, stallings
-from .words import Alphabet, ParseError, omega, parse_word
+from .words import Alphabet, ParseError, format_runs, omega, parse_word
 
 DEFAULT_CAP = 8
 DEFAULT_N_MAX = 100
@@ -126,7 +126,7 @@ def cmd_subgroup(args):
     transversal = stallings.schreier_transversal(graph, preferred=preferred)
     basis = stallings.schreier_basis(graph, transversal)
     if args.query == "basis":
-        entries = [(name, str(basis.word(i)))
+        entries = [(name, format_runs(graph.alphabet, basis.runs(i)))
                    for i, name in enumerate(basis.alphabet)]
         _emit(args, {"basis": [{"name": n, "word": w} for n, w in entries]},
               "\n".join("%s = %s" % e for e in entries))

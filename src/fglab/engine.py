@@ -22,8 +22,8 @@ from functools import lru_cache
 from itertools import accumulate, compress, repeat
 
 from . import magnus, stallings, words
-from .words import (XY, commutator, exponent_sums, generator, inverse,
-                    multiply, omega, omega_bracket)
+from .words import (XY, commutator, exponent_sums, format_runs, generator,
+                    inverse, multiply, omega, omega_bracket)
 
 
 class VerificationError(RuntimeError):
@@ -309,8 +309,9 @@ class WitnessCertificate(namedtuple(
     __slots__ = ()
 
     def to_dict(self):
-        """JSON data; each basis word and representative is spelled here."""
-        t = self.basis.transversal
+        """JSON data; each basis word and representative is printed from runs."""
+        b, alphabet = self.basis, self.witness.alphabet
+        t = b.transversal
         return {
             "d": self.d,
             "m": self.m,
@@ -319,9 +320,10 @@ class WitnessCertificate(namedtuple(
             "a_sum": self.a_sum,
             "lcs_weight": {"cap": self.cap,
                            "value": magnus.weight_to_json(self.weight)},
-            "basis": [str(self.basis.word(i))
-                      for i in range(len(self.basis.alphabet))],
-            "transversal": [str(t.rep(v)) for v in range(t.graph.n_vertices)],
+            "basis": [format_runs(alphabet, b.runs(i))
+                      for i in range(len(b.alphabet))],
+            "transversal": [format_runs(alphabet, t.rep_runs(v))
+                            for v in range(t.graph.n_vertices)],
             "verdicts": {"in_Fm": True, "in_G2": False},
         }
 

@@ -10,17 +10,16 @@ Graphs are immutable after construction; every query is pure.
 
 import math
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, islice, repeat, starmap
 
-from .words import (Alphabet, Word, _word, exponent_sums, inverse, multiply,
-                    parse_words)
+from .words import Alphabet, Word, _word, exponent_sums, inverse, parse_words
 
 #: Distinguished return value of :func:`index` for infinite-index subgroups.
 INFINITE = math.inf
 
 #: Largest modulus ``d`` a kernel file or ``fglab witness`` may ask for.  It
 #: bounds the kernel graph, 2k + 1 rows of d vertices, and so the memory of
-#: every query: a transversal and a basis keep only tree codes and edges.
+#: every query: a transversal keeps four ints per vertex, a basis its edges.
 MAX_KERNEL_D = 100_000
 
 
@@ -309,28 +308,38 @@ def kernel_graph(f, d, alphabet):
     return SubgroupGraph(alphabet, steps)
 
 
-class Transversal(namedtuple("Transversal", "graph tree order preferred",
+def _spelled(alphabet, runs):
+    """The Word of reduced runs (code, k), k letters ``code`` each."""
+    return _word(alphabet, tuple(chain.from_iterable(starmap(repeat, runs))))
+
+
+class Transversal(namedtuple("Transversal", "graph tree order start k preferred",
                              defaults=(None,))):
     """Schreier transversal from a BFS spanning tree.
 
     tree[v] is the signed code of the tree edge entering v, 0 at the base:
     the c-edge v -> w is a tree edge iff tree[w] == c or tree[v] == -c.
-    order lists vertices in BFS discovery order.  preferred records the
-    generator whose edges were explored first, if any.
+    order lists vertices in BFS discovery order.  start[v] and k[v] point
+    back along the last run of equal codes on v's tree path: it has k[v]
+    letters tree[v] and begins at vertex start[v] (both 0 at the base).
+    preferred records the generator whose edges were explored first, if any.
     """
     __slots__ = ()
 
-    def rep(self, v):
-        """The tree path from the base to v, read back from v.  It never
-        turns back in a folded graph, so the word is reduced; the
-        representatives are prefix-closed, and rep(0) is the identity."""
-        steps, tree, back = self.graph.steps, self.tree, []
-        append = back.append
+    def rep_runs(self, v):
+        """The tree path from the base to v as runs (code, k), one step per
+        run.  It never turns back in a folded graph, so the runs spell a
+        reduced word; the representatives are prefix-closed."""
+        tree, start, k, runs = self.tree, self.start, self.k, []
         while v:
-            append(c := tree[v])
-            v = steps[-c][v]
-        back.reverse()
-        return _word(self.graph.alphabet, tuple(back))
+            runs.append((tree[v], k[v]))
+            v = start[v]
+        runs.reverse()
+        return runs
+
+    def rep(self, v):
+        """The representative of v as a Word; rep(0) is the identity."""
+        return _spelled(self.graph.alphabet, self.rep_runs(v))
 
 
 def schreier_transversal(graph, preferred=None):
@@ -351,9 +360,15 @@ def schreier_transversal(graph, preferred=None):
         gen_order = [p] + [g for g in gen_order if g != p]
         tree = _bfs(graph.steps, [p + 1])
     tree = _bfs(graph.steps, _codes(gen_order), tree)
-    return Transversal(graph=graph,
-                       tree=tuple(tree[v] for v in range(graph.n_vertices)),
-                       order=tuple(tree),
+    # a vertex's tree parent comes before it in BFS order, so its pointers
+    # are set first; the run goes on where the parent's code repeats
+    steps, n = graph.steps, graph.n_vertices
+    start, k = [0] * n, [0] * n
+    for w, c in islice(tree.items(), 1, None):
+        p = steps[-c][w]
+        start[w], k[w] = (start[p], k[p] + 1) if tree[p] == c else (p, 1)
+    return Transversal(graph=graph, tree=tuple(map(tree.__getitem__, range(n))),
+                       order=tuple(tree), start=tuple(start), k=tuple(k),
                        preferred=preferred)
 
 
@@ -365,23 +380,31 @@ class SchreierBasis(namedtuple("SchreierBasis", "alphabet transversal edges")):
     """
     __slots__ = ()
 
-    def word(self, i):
-        """Basis element i, rep(u) g rep(v)^-1 for its edge u -g-> v."""
+    def runs(self, i):
+        """Basis element i, rep(u) g rep(v)^-1 for its edge u -g-> v, as
+        runs (code, k).  Equal codes merge at the two seams around g, and
+        nothing cancels there: that would make u -g-> v a tree edge."""
         u, g = self.edges[i]
-        t = self.transversal
-        v = t.graph.steps[g + 1][u]
-        head = t.rep(u)
-        # a loop (as every y-edge of a kernel of y -> 0) walks the tree once
-        tail = head if v == u else t.rep(v)
-        return multiply(multiply(head, _word(t.graph.alphabet, (g + 1,))),
-                        inverse(tail))
+        t, c = self.transversal, g + 1
+        head, tail, k = t.rep_runs(u), t.rep_runs(t.graph.steps[c][u]), 1
+        if head and head[-1][0] == c:
+            k += head.pop()[1]
+        if tail and tail[-1][0] == -c:
+            k += tail.pop()[1]
+        head.append((c, k))
+        head += [(-code, n) for code, n in reversed(tail)]
+        return head
+
+    def word(self, i):
+        """Basis element i as a Word over the graph's alphabet."""
+        return _spelled(self.transversal.graph.alphabet, self.runs(i))
 
 
 def schreier_basis(graph, transversal):
     """Reidemeister-Schreier basis from the non-tree edges.
 
-    The element for edge (u, g, v) is rep(u) * g * rep(v)^-1, spelled by
-    ``SchreierBasis.word``.  Naming: when the transversal has a preferred
+    The element for edge (u, g, v) is rep(u) * g * rep(v)^-1, given as runs
+    by ``SchreierBasis.runs``.  Naming: when the transversal has a preferred
     generator and exactly one non-tree edge carries that label, that edge
     is named ``a`` and comes first, the rest ``b1..bk`` in (BFS order of
     source, generator index) order -- this makes kernel-graph bases read

@@ -98,6 +98,12 @@ def _run_token(alphabet, code, k):
     return name if k == 1 else "%s^%d" % (name, k)
 
 
+def format_runs(alphabet, runs):
+    """The text of the word that maximal runs (code, k) spell, as ``str``
+    gives it, in one step per run."""
+    return " ".join([_run_token(alphabet, c, k) for c, k in runs])
+
+
 class _RunTokens(dict):
     """A run of equal letters, as a tuple -> its token, formatted on first use."""
 
@@ -173,7 +179,8 @@ class Word:
         # few runs: the letters between them map one by one to their tokens,
         # where the inverse codes index the tokens from the end
         names = self.alphabet.names
-        tokens = ("",) + names + tuple("%s^-1" % n for n in reversed(names))
+        # a list: its __getitem__ is a faster call than a tuple's
+        tokens = ["", *names, *("%s^-1" % n for n in reversed(names))]
         rest, pieces, done = iter(letters), [], 0
         start = repeats.find(1)
         while start >= 0:

@@ -19,6 +19,9 @@ from fglab.words import omega
 FIXTURES = resources.files("fglab") / "fixtures"
 FIXTURE_NAMES = ("kernel_d2.json", "kernel_d3.json", "paper_index3.json")
 MAPS = ((1, 0), (2, 1), (1, 3))
+# kernels past the d = 2..16 grid: x preferred, and nothing preferred
+# (basis s1..sk, representatives x^k and x^-k)
+LARGE_KERNELS = ((257, (1, 0)), (257, (2, 0)))
 
 
 def kernel_name(d, f):
@@ -35,6 +38,8 @@ def battery():
                 yield "subgroup", ["subgroup", query, name]
             yield "subgroup", ["--json", "subgroup", "rewrite", name,
                                "x y x^-1 y^-1 x^%d y^%d" % (d, d)]
+    for d, f in LARGE_KERNELS:
+        yield "subgroup", ["--json", "subgroup", "basis", kernel_name(d, f)]
     for fixture in FIXTURE_NAMES:
         for query in ("index", "normal", "basis"):
             yield "fixtures", ["--json", "subgroup", query, fixture]
@@ -46,6 +51,7 @@ def battery():
     for d in (2, 3, 5):
         for m in (10, 11, 12):
             yield "witness", ["--json", "witness", "--d", str(d), "--m", str(m)]
+    yield "witness", ["--json", "witness", "--d", "257", "--m", "3"]
     yield "verify", ["--json", "verify"]
     yield "verify", ["verify", "--d-max", "16"]
     for d in (2, 3, 5, 16):
@@ -65,11 +71,10 @@ def digest(code, out):
 @pytest.fixture(scope="module")
 def kernel_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("kernels")
-    for d in range(2, 17):
-        for f in MAPS:
-            (path / kernel_name(d, f)).write_text(json.dumps(
-                {"alphabet": ["x", "y"],
-                 "kernel": {"d": d, "f": {"x": f[0], "y": f[1]}}}))
+    for d, f in [(d, f) for d in range(2, 17) for f in MAPS] + list(LARGE_KERNELS):
+        (path / kernel_name(d, f)).write_text(json.dumps(
+            {"alphabet": ["x", "y"],
+             "kernel": {"d": d, "f": {"x": f[0], "y": f[1]}}}))
     return path
 
 
@@ -106,6 +111,9 @@ def test_output_bytes_match(group, kernel_dir, capsys):
 
 GOLDEN = {command: sha for sha, command in (
     line.split("  ", 1) for line in """
+41fa52c63fb1275983bb129f51c05a6dc78d0ee64acfe01f1ccab9ad28f21ced  --json subgroup basis kernel_257_1_0.json
+482c12408289f7b764a6c3d837660b59dd33e78e904e8dc5077d824a545f6087  --json subgroup basis kernel_257_2_0.json
+a733b54bee49f720bdc5fdd68768d0585cffe515756001379221f34a7956bede  --json witness --d 257 --m 3
 02e08981c709c82ef330c266aa05286db938502e2870e097b35852104545c2a1  --json subgroup index kernel_2_1_0.json
 409f9891ad678ea20e4b20e862d56f23c9b29ed02f40cbdd3a9257821638a85d  subgroup index kernel_2_1_0.json
 dc91d5735abef40a435b0babcecfa8d0120a9c138f9a487fc11bb3419f48d013  --json subgroup normal kernel_2_1_0.json

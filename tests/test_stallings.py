@@ -13,7 +13,7 @@ from fglab.stallings import (INFINITE, NotInSubgroupError, SubgroupGraph,
                              kernel_graph, rewrite, schreier_basis,
                              schreier_transversal)
 from fglab.words import (XY, Alphabet, Word, commutator, exponent_sums,
-                         identity, inverse, multiply, parse_word)
+                         format_runs, identity, inverse, multiply, parse_word)
 
 AB = Alphabet(["a", "b"])
 
@@ -488,7 +488,64 @@ class TestFoldOracle:
         assert outputs(shuffled) == outputs(gens)
 
 
+def tree_walk(t, v):
+    """The representative of v read letter by letter back along the tree:
+    an oracle for the run pointers that reads only ``tree``."""
+    steps, back = t.graph.steps, []
+    while v:
+        back.append(c := t.tree[v])
+        v = steps[-c][v]
+    return Word(t.graph.alphabet, reversed(back))
+
+
+def run_mismatches(t, b):
+    """The representatives and basis words whose runs, as text or as a
+    Word, differ from the letter-by-letter tree walk."""
+    alphabet, steps, bad = t.graph.alphabet, t.graph.steps, []
+    for v in range(t.graph.n_vertices):
+        walk = tree_walk(t, v)
+        if (format_runs(alphabet, t.rep_runs(v)) != str(walk)
+                or t.rep(v) != walk):
+            bad.append(("rep", v))
+    for i, (u, g) in enumerate(b.edges):
+        walk = multiply(multiply(tree_walk(t, u), Word(alphabet, [g + 1])),
+                        inverse(tree_walk(t, steps[g + 1][u])))
+        if format_runs(alphabet, b.runs(i)) != str(walk) or b.word(i) != walk:
+            bad.append(("word", i))
+    return bad
+
+
 class TestTransversalProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(transitive_actions(), regular_actions()), st.data())
+    def test_runs_spell_the_tree_walk(self, action, data):
+        alphabet, perms = action
+        g, _ = stabilizer_graph(alphabet, perms)
+        preferred = data.draw(st.sampled_from((None,) + alphabet.names))
+        t = schreier_transversal(g, preferred=preferred)
+        assert run_mismatches(t, schreier_basis(g, t)) == []
+
+    # long runs: x^k, or x^k and x^-k alternating when x -> 2 and nothing
+    # is preferred, merged with g at one seam or both
+    @pytest.mark.parametrize("f, preferred", [
+        ({"x": 1, "y": 0}, "x"), ({"x": 2, "y": 0}, None),
+        ({"x": 2, "y": 1}, "y"), ({"x": 3, "y": 5}, None)])
+    def test_kernel_runs_spell_the_tree_walk(self, f, preferred):
+        _, t, b = kernel_machinery(13, f, preferred=preferred)
+        assert max(t.k) >= 3
+        assert run_mismatches(t, b) == []
+
+    @pytest.mark.parametrize("field", ["start", "k"])
+    def test_a_wrong_run_pointer_is_seen(self, field):
+        _, t, b = kernel_machinery(5)
+        assert run_mismatches(t, b) == []
+        # vertex 3 is x^3, one run that starts at the base
+        pointers = list(getattr(t, field))
+        pointers[3] = 1 if field == "start" else 2
+        wrong = t._replace(**{field: tuple(pointers)})
+        bad = run_mismatches(wrong, b._replace(transversal=wrong))
+        assert ("rep", 3) in bad and ("word", 4) in bad
+
     @settings(max_examples=200, deadline=None)
     @given(transitive_actions(), st.data())
     def test_reps_and_basis_words(self, action, data):
