@@ -11,10 +11,9 @@ finite index on an infinite-index subgroup).
 import argparse
 import json
 import os
-import re
 import sys
 
-from . import engine, magnus, stallings
+from . import engine, magnus, stallings, words
 from .words import Alphabet, ParseError, format_runs, omega, parse_word
 
 DEFAULT_CAP = 8
@@ -29,8 +28,6 @@ MAX_WITNESS_M = 20
 # verify's char_poly check costs about d^2 (d + 1 sparse determinants), so a
 # battery up to d_max costs about d_max^3 (about 14 s at 200 on 2 vCPUs)
 MAX_VERIFY_D = 200
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _env_cap():
@@ -54,7 +51,7 @@ def _alphabet_arg(text):
 
 def _infer_alphabet(text):
     names = []
-    for name in _NAME_RE.findall(text):
+    for name in words._NAME_RE.findall(text):
         if name not in names:
             names.append(name)
     return Alphabet(names) if names else Alphabet(("x", "y"))

@@ -43,7 +43,9 @@ class SubgroupGraph:
     ``==`` compares based graphs up to renumbering: two graphs are equal when
     some bijection of their vertices fixes the base and carries every edge
     of one onto an edge of the other with the same label.  For core graphs
-    this holds exactly when they give the same subgroup.
+    this holds exactly when they give the same subgroup.  The same walk
+    decides normality: :func:`is_normal` compares the graph with itself
+    based at each generator's end.
     """
 
     __slots__ = ("alphabet", "steps")
@@ -56,9 +58,9 @@ class SubgroupGraph:
     def n_vertices(self):
         return len(self.steps[0])
 
-    def trace(self, w, start=0):
-        """Endpoint of the path labeled w from start, or None if it breaks."""
-        v, steps = start, self.steps
+    def trace(self, w):
+        """Endpoint of the path labeled w from base, or None if it breaks."""
+        v, steps = 0, self.steps
         for c in w.letters:
             v = steps[c][v]
             if v is None:
@@ -73,14 +75,18 @@ class SubgroupGraph:
                 for g, row in enumerate(rows) if row[u] is not None]
 
     def __eq__(self, other):
-        # at most one c-edge leaves a vertex, so a walk of both graphs in
-        # lockstep from the bases finds the renumbering or shows there is none
-        if not (isinstance(other, SubgroupGraph)
+        return (isinstance(other, SubgroupGraph)
                 and self.alphabet == other.alphabet
-                and self.n_vertices == other.n_vertices):
-            return False
+                and self.n_vertices == other.n_vertices
+                and self._walk(other, 0))
+
+    def _walk(self, other, base):
+        """Whether a bijection onto ``other``, a graph of as many vertices,
+        carries 0 to ``base`` and every edge onto an edge with the same
+        label.  At most one c-edge leaves a vertex, so a walk of both graphs
+        in lockstep finds the bijection or shows there is none."""
         mine, theirs = self.steps[1:], other.steps[1:]
-        image, queue = {0: 0}, [0]
+        image, queue = [base] + [None] * (self.n_vertices - 1), [0]
         for v in queue:                      # grows while it is read
             w = image[v]
             for row, other_row in zip(mine, theirs):
@@ -88,22 +94,16 @@ class SubgroupGraph:
                 if s is None or t is None:
                     if s is not t:
                         return False
-                elif s not in image:
+                elif image[s] is None:
                     image[s] = t
                     queue.append(s)
                 elif image[s] != t:
                     return False
-        return len(set(image.values())) == len(image) == self.n_vertices
+        return len(queue) == len(set(image)) == self.n_vertices
 
     def __repr__(self):
         return "SubgroupGraph(%d vertices, %d edges over %r)" % (
             self.n_vertices, len(self.edges()), list(self.alphabet))
-
-
-def _codes(gens):
-    """The signed codes of the generator indices ``gens``, each forwards
-    then backwards: 1, -1, 2, -2, ... for ``range(k)``."""
-    return [s * (g + 1) for g in gens for s in (1, -1)]
 
 
 def _bfs(steps, codes, tree=None):
@@ -254,29 +254,18 @@ def index(graph):
 
 
 def is_normal(graph):
-    """Whether the subgroup is normal, in O(k^2 n) for k generators.
+    """Whether the subgroup H is normal, in O(k^2 n) for k generators.
 
-    For each generator g, the map phi with phi(0) = g(0), extended along a
-    BFS tree, must commute with every edge label.  Such maps commute with
-    the action, and so do their composites, which carry 0 to every vertex:
-    the action is then regular, that is, the subgroup is normal.  A regular
-    action has every such map.
+    A finite-index graph is complete, so its loops at any vertex form a
+    conjugate of H: those at g(0) spell g^-1 H g.  H is normal iff
+    H = g^-1 H g for every generator g, that is, iff the graph based at
+    g(0) equals the graph based at 0.  One lockstep walk per generator
+    decides it, and the first walk that fails decides it false.
     """
     if index(graph) is INFINITE:
         raise InfiniteIndexError("is_normal requires finite index")
-    steps, k = graph.steps, len(graph.alphabet)
-    tree = list(_bfs(steps, _codes(range(k))).items())[1:]
-    rows = steps[1:k + 1]
-    for row in rows:
-        phi = [None] * graph.n_vertices
-        phi[0] = row[0]
-        for w, c in tree:
-            phi[w] = steps[c][phi[steps[-c][w]]]
-        # other(phi(u)) == phi(other(u)) for every vertex u
-        if any(list(map(other.__getitem__, phi))
-               != list(map(phi.__getitem__, other)) for other in rows):
-            return False
-    return True
+    return all(graph._walk(graph, row[0])
+               for row in graph.steps[1:len(graph.alphabet) + 1])
 
 
 def kernel_graph(f, d, alphabet):
@@ -359,7 +348,8 @@ def schreier_transversal(graph, preferred=None):
         p = alphabet.index(preferred)
         gen_order = [p] + [g for g in gen_order if g != p]
         tree = _bfs(graph.steps, [p + 1])
-    tree = _bfs(graph.steps, _codes(gen_order), tree)
+    tree = _bfs(graph.steps, [s * (g + 1) for g in gen_order for s in (1, -1)],
+                tree)
     # a vertex's tree parent comes before it in BFS order, so its pointers
     # are set first; the run goes on where the parent's code repeats
     steps, n = graph.steps, graph.n_vertices

@@ -18,8 +18,9 @@ import re
 from itertools import chain, compress, count, groupby, islice
 from operator import eq, itemgetter, ne, neg
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+# names and exponents are ASCII: \d would also read other decimal digits
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(r"(%s)(?:\^(-?[0-9]+))?\Z" % _NAME_RE.pattern)
 
 #: Most letters where words enter: in all the texts one ``parse_words`` call
 #: reads, before reduction, and in ``omega``.  omega_23 has 2^25 + 2.
@@ -39,7 +40,7 @@ class Alphabet:
         names = tuple(names)
         seen = set()
         for name in names:
-            if not _NAME_RE.match(name):
+            if not _NAME_RE.fullmatch(name):
                 raise ValueError("bad generator name: %r" % (name,))
             if name in seen:
                 raise ValueError("duplicate generator name: %r" % (name,))

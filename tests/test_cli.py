@@ -39,6 +39,11 @@ class TestReduce:
     def test_parse_error_exit_2(self, capsys):
         assert main(["reduce", "-a", "x,y", "z"]) == 2
 
+    def test_non_ascii_exponent_exit_2(self, capsys):
+        assert main(["reduce", "-a", "x", "x^\u0663"]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed token: 'x^\u0663'\n")
+
     def test_too_many_letters_exit_2(self, capsys):
         assert main(["reduce", "-a", "x", "x x^1000000000"]) == 2
         assert capsys.readouterr().err == (

@@ -18,7 +18,7 @@ from fglab.words import (Alphabet, ParseError, Word, commutator, inverse,
                          multiply, omega, parse_word)
 
 RANKS = {rank: Alphabet(("x", "y", "z_2")[:rank]) for rank in (1, 2, 3)}
-TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?\Z")
+TOKEN_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?\Z")
 
 
 # -- oracles -----------------------------------------------------------------
@@ -207,6 +207,9 @@ def test_word_rejects_out_of_range_codes():
     ("x x^-00", "zero exponent in token: 'x^-00'"),
     ("y x^ y^0", "malformed token: 'x^'"),
     ("x^1.5 z", "malformed token: 'x^1.5'"),
+    # exponents are ASCII digits, not any Unicode decimal int() would read
+    ("x^\u0663", "malformed token: 'x^\u0663'"),
+    ("x^\uff13", "malformed token: 'x^\uff13'"),
 ])
 def test_parse_errors_keep_their_messages(text, message):
     with pytest.raises(ParseError) as err:

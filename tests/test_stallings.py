@@ -309,8 +309,19 @@ class TestFoldProperties:
 
         gens = [reps[u] + [k + 1] + [-c for c in reversed(reps[p[u]])]
                 for u in range(degree) for k, p in enumerate(perms)]
-        assert is_normal(g) == all(act(w, v) == v
-                                   for w in gens for v in range(degree))
+        normal = is_normal(g)
+        assert normal == all(act(w, v) == v
+                             for w in gens for v in range(degree))
+
+        # is_normal rebases only at the k generator ends; the definition
+        # asks for every vertex v, the graph with 0 and v swapped
+        def rebased(v):
+            swap = list(range(g.n_vertices))
+            swap[0], swap[v] = v, 0
+            return graph_of_edges(alphabet, g.n_vertices, [
+                (swap[a], gen, swap[b]) for a, gen, b in g.edges()])
+
+        assert normal == all(g == rebased(v) for v in range(g.n_vertices))
 
 
 def naive_fold(gens, rank):
