@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import engine, magnus, stallings, words
+from . import stallings, words
 from .words import Alphabet, ParseError, format_runs, omega, parse_word
 
 DEFAULT_CAP = 8
@@ -36,13 +36,16 @@ def _env_cap():
     if text is None:
         return DEFAULT_CAP
     try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if not 1 <= cap <= magnus.MAX_CAP:
+        return _positive(1, _max_cap)(text)
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError("FGLAB_MAGNUS_CAP must be an integer in 1..%d, got %r"
-                         % (magnus.MAX_CAP, text))
-    return cap
+                         % (_max_cap(), text)) from None
+
+
+def _max_cap():
+    """magnus.MAX_CAP; magnus is imported only by the commands that use it."""
+    from . import magnus
+    return magnus.MAX_CAP
 
 
 def _alphabet_arg(text):
@@ -50,11 +53,7 @@ def _alphabet_arg(text):
 
 
 def _infer_alphabet(text):
-    names = []
-    for name in words._NAME_RE.findall(text):
-        if name not in names:
-            names.append(name)
-    return Alphabet(names) if names else Alphabet(("x", "y"))
+    return Alphabet(dict.fromkeys(words._NAME_RE.findall(text)) or ("x", "y"))
 
 
 def _emit(args, payload, human):
@@ -88,12 +87,9 @@ def _load_subgroup(path):
         raise ValueError("%s: %s" % (path, exc)) from None
     preferred = None
     if "kernel" in desc:
-        d = desc["kernel"]["d"]
-        f = desc["kernel"]["f"]
-        for name in desc["alphabet"]:
-            if f.get(name, 0) % d == 1:
-                preferred = name
-                break
+        d, f = desc["kernel"]["d"], desc["kernel"]["f"]
+        preferred = next(
+            (name for name in desc["alphabet"] if f.get(name, 0) % d == 1), None)
     return graph, preferred
 
 
@@ -128,14 +124,13 @@ def cmd_subgroup(args):
         _emit(args, {"basis": [{"name": n, "word": w} for n, w in entries]},
               "\n".join("%s = %s" % e for e in entries))
         return 0
-    if args.query == "rewrite":
-        text = str(stallings.rewrite(graph, transversal, basis, word))
-        _emit(args, {"rewrite": text}, text)
-        return 0
-    raise AssertionError(args.query)
+    text = str(stallings.rewrite(graph, transversal, basis, word))
+    _emit(args, {"rewrite": text}, text)
+    return 0
 
 
 def cmd_weight(args):
+    from . import magnus
     alphabet = (_alphabet_arg(args.alphabet) if args.alphabet
                 else _infer_alphabet(args.word))
     word = parse_word(args.word, alphabet)
@@ -147,10 +142,15 @@ def cmd_weight(args):
 
 
 def cmd_witness(args):
+    from . import engine
     if args.m > MAX_WITNESS_M:
         raise ValueError("m must be at most %d, got %d (the witness word has "
                          "2^m + 2 letters)" % (MAX_WITNESS_M, args.m))
-    payload = engine.witness(args.d, args.m).to_dict()
+    try:
+        payload = engine.witness(args.d, args.m).to_dict()
+    except engine.VerificationError as exc:
+        print("verification failed: %s" % exc, file=sys.stderr)
+        return 1
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -164,6 +164,7 @@ def cmd_witness(args):
 
 
 def cmd_verify(args):
+    from . import engine
     n_max = args.n_max
     recurrence_n_max = min(n_max, RECURRENCE_N_CAP)
     # (name, check of d, reason when it returns False); a check may instead
@@ -218,9 +219,10 @@ def _positive(kind, most=None):
         value = int(text)
         if value < kind:
             raise argparse.ArgumentTypeError("must be >= %d" % kind)
-        if most is not None and value > most:
-            raise argparse.ArgumentTypeError("must be <= %d" % most)
+        if most is not None and value > most():
+            raise argparse.ArgumentTypeError("must be <= %d" % most())
         return value
+    convert.__name__ = "int"   # argparse prints "invalid int value: ..."
     return convert
 
 
@@ -248,7 +250,7 @@ def build_parser():
     p.add_argument("word", nargs="?")
 
     p = sub.add_parser("weight", help="lower-central-series weight of a word")
-    p.add_argument("--cap", type=_positive(1, magnus.MAX_CAP),
+    p.add_argument("--cap", type=_positive(1, _max_cap),
                    help="truncation degree (default: FGLAB_MAGNUS_CAP or %d)"
                         % DEFAULT_CAP)
     p.add_argument("-a", "--alphabet",
@@ -262,7 +264,7 @@ def build_parser():
     p.add_argument("--out", help="write the certificate JSON to this file")
 
     p = sub.add_parser("verify", help="run the full verification battery")
-    p.add_argument("--d-max", type=_positive(2, MAX_VERIFY_D),
+    p.add_argument("--d-max", type=_positive(2, lambda: MAX_VERIFY_D),
                    default=DEFAULT_D_MAX)
     p.add_argument("--n-max", type=_positive(1), default=DEFAULT_N_MAX)
 
@@ -287,9 +289,6 @@ def main(argv=None):
     except (stallings.NotInSubgroupError, stallings.InfiniteIndexError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except engine.VerificationError as exc:
-        print("verification failed: %s" % exc, file=sys.stderr)
-        return 1
     except (ParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 
-from . import magnus, stallings, words
+from . import stallings, words
 from .words import (XY, commutator, exponent_sums, format_runs, generator,
                     inverse, multiply, omega, omega_bracket)
 
@@ -310,6 +310,7 @@ class WitnessCertificate(namedtuple(
 
     def to_dict(self):
         """JSON data; each basis word and representative is printed from runs."""
+        from . import magnus
         b, alphabet = self.basis, self.witness.alphabet
         t = b.transversal
         return {
@@ -338,6 +339,7 @@ def witness(d, m):
     raises ValueError before any graph is built, and so does an m >= 26,
     whose word exceeds ``words.MAX_WORD_LETTERS``, before any expansion.
     """
+    from . import magnus
     if m < 2:
         raise ValueError("m must be >= 2 (G_1 = G is not constrained)")
     spec = KernelSpec(d)
@@ -365,6 +367,7 @@ def _recheck(cert):
     F_(i+j).  The printed weight must be that m.  G_2: counting y letters
     per x-residue, with no graph, gives the a-sum and a nonzero P-vector.
     """
+    from . import magnus
     alphabet, m = cert.witness.alphabet, cert.m
     x, y = alphabet.index("x"), alphabet.index("y")
     found = magnus.coefficient(cert.witness, (y,) + (x,) * (m - 1))

@@ -38,15 +38,17 @@ class Alphabet:
 
     def __init__(self, names):
         names = tuple(names)
-        seen = set()
-        for name in names:
-            if not _NAME_RE.fullmatch(name):
-                raise ValueError("bad generator name: %r" % (name,))
-            if name in seen:
-                raise ValueError("duplicate generator name: %r" % (name,))
-            seen.add(name)
+        self._index = dict(zip(names, range(len(names))))
+        # bulk checks first; the loop runs only to name the first bad name
+        if len(self._index) < len(names) or not all(map(_NAME_RE.fullmatch, names)):
+            seen = set()
+            for name in names:
+                if not _NAME_RE.fullmatch(name):
+                    raise ValueError("bad generator name: %r" % (name,))
+                if name in seen:
+                    raise ValueError("duplicate generator name: %r" % (name,))
+                seen.add(name)
         self.names = names
-        self._index = {n: i for i, n in enumerate(names)}
 
     def index(self, name):
         try:

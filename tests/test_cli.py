@@ -483,6 +483,24 @@ class TestVerify:
             "argument --d-max: must be <= %d\n" % MAX_VERIFY_D)
 
 
+class TestIntegerOptions:
+    @pytest.mark.parametrize("argv, option, value", [
+        (["omega", "n"], "n", "n"),
+        (["weight", "--cap", "abc", "x"], "--cap", "abc"),
+        (["witness", "--d", "two", "--m", "2"], "--d", "two"),
+        (["witness", "--d", "2", "--m", "2.5"], "--m", "2.5"),
+        (["verify", "--d-max", "1x"], "--d-max", "1x"),
+        (["verify", "--n-max", ""], "--n-max", ""),
+    ])
+    def test_non_integer_is_an_invalid_int(self, capsys, argv, option, value):
+        # argparse's own wording for type=int, not the converter's name
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument %s: invalid int value: %r\n" % (option, value))
+
+
 class TestJsonStability:
     def test_byte_stable_output(self, capsys):
         args = ("--json", "subgroup", "basis", fixture("kernel_d3.json"))
@@ -566,3 +584,25 @@ class TestStartup:
                              env={**os.environ, "PYTHONPATH": SRC}).stdout
         assert out.splitlines()[0] == "0 True"
         assert out.splitlines()[-1] == "True True"
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["subgroup", "index", fixture("paper_index3.json")],
+         {"fglab.engine", "fglab.magnus"}),
+        (["omega", "3"], {"fglab.engine", "fglab.magnus"}),
+        (["verify", "--d-max", "2", "--n-max", "1"], {"fglab.magnus"}),
+    ])
+    def test_command_loads_only_its_layers(self, argv, absent):
+        # each CLI run is a fresh interpreter, which compiles every layer it
+        # imports; the subgroup queries and omega run on words and stallings,
+        # and verify also on engine
+        code = ("import sys\n"
+                "from fglab import cli\n"
+                "code = cli.main(sys.argv[1:])\n"
+                "print(code, *sorted(m for m in sys.modules if m.startswith('fglab')))\n")
+        out = subprocess.run([sys.executable, "-c", code, *argv], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": SRC}).stdout
+        code, *loaded = out.splitlines()[-1].split()
+        assert code == "0"
+        assert {"fglab.cli", "fglab.stallings", "fglab.words"} <= set(loaded)
+        assert not absent & set(loaded)

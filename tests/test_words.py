@@ -31,6 +31,17 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet([""])
 
+    @pytest.mark.parametrize("names, message", [
+        (["x", "y", "x", "2z", "y"], "duplicate generator name: 'x'"),
+        (["x", "y", "2z", "x", "y"], "bad generator name: '2z'"),
+    ])
+    def test_first_bad_name_in_order_is_named(self, names, message):
+        # the checks run in bulk, but the error names the first offending
+        # entry, as a loop over the names finds it
+        with pytest.raises(ValueError) as err:
+            Alphabet(names)
+        assert str(err.value) == message
+
 
 class TestParse:
     def test_no_reduction(self):
