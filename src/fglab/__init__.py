@@ -12,7 +12,7 @@ from importlib import import_module as _import_module
 # each layer's public names, read from the layer on each access (PEP 562); a
 # layer is imported on first use, so a command loads only the layers it runs
 _HOME = {name: layer for layer, names in {
-    "words": "Alphabet ParseError Word bracket_nodes bracket_word commutator "
+    "words": "Alphabet ParseError Word bracket_word commutator "
              "exponent_sums generator identity inverse multiply omega "
              "omega_bracket parse_word",
     "stallings": "INFINITE InfiniteIndexError NotInSubgroupError SchreierBasis "

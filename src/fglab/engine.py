@@ -303,8 +303,8 @@ class WitnessCertificate(namedtuple(
         "WitnessCertificate", "d m witness bracket p_vec a_sum cap weight basis")):
     """An explicit word in F_m outside [G, G], with its evidence.
 
-    ``bracket`` is the commutator bracket that spells ``witness``, and
-    ``weight`` an int, a ``magnus.AtLeast`` or ``magnus.IDENTITY``.
+    ``bracket`` is the node list (``words.bracket_word``) that spells
+    ``witness``, and ``weight`` an int, a ``magnus.AtLeast`` or ``magnus.IDENTITY``.
     """
     __slots__ = ()
 

@@ -32,7 +32,7 @@ with no expansion; together they re-check that verdict.
 from collections import namedtuple
 from operator import add
 
-from .words import _fold_nodes, bracket_nodes
+from .words import _fold_nodes
 
 #: Largest weight cap ``fglab weight`` accepts, from ``--cap`` or
 #: FGLAB_MAGNUS_CAP.  The series of one inverse letter alone holds about
@@ -123,7 +123,7 @@ def _series(levels, cap, base):
 
 
 def _key_base(nodes):
-    """The key base of a bracket's node list: its largest |leaf code|."""
+    """The key base of a bracket: its largest |leaf code|."""
     return max(abs(c) for c in nodes if not isinstance(c, tuple))
 
 
@@ -208,7 +208,7 @@ def bracket_expand(bracket, cap):
     The sibling weights on the path from the root to a node b sum to
     wt(root) - wt(b), so with the slack s = cap - wt(root) b is needed up
     to wt(b) + s and its inverse up to s, whichever parent asks: one value
-    per node, from one fold over ``words.bracket_nodes``.  The inverse has
+    per node, from one fold over the node list.  The inverse has
     M([v, u]) - 1 = -(UV - VU) V^-1 U^-1, reusing the difference; it is 1
     when wt(b) > s.
 
@@ -220,8 +220,7 @@ def bracket_expand(bracket, cap):
     slack = cap - structural_weight(bracket)
     if slack < 0:
         return series_one(cap)
-    nodes = bracket_nodes(bracket)
-    base = _key_base(nodes)
+    base = _key_base(bracket)
 
     def leaf(c):
         letter, inverse = _one(1 + slack), _one(slack)
@@ -243,7 +242,7 @@ def bracket_expand(bracket, cap):
             _one(slack), uv_vu, _mul_into(_zero(slack), v_inv, u_inv, base),
             base, -1)
 
-    return _series(_fold_nodes(nodes, leaf, join)[1], cap, base)
+    return _series(_fold_nodes(bracket, leaf, join)[1], cap, base)
 
 
 def coefficient(w, monomial):
@@ -290,7 +289,7 @@ def structural_weight(bracket):
     in F_m for every m up to this weight.  No series and no cap are
     involved, so it proves membership where a truncation could not.
     """
-    return _fold_nodes(bracket_nodes(bracket), lambda c: 1, add)
+    return _fold_nodes(bracket, lambda c: 1, add)
 
 
 def series_weight(series):

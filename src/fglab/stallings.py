@@ -478,10 +478,6 @@ def in_derived_subgroup(graph, transversal, basis, w):
     return not any(exponent_sums(rewrite(graph, transversal, basis, w)))
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def from_json(obj):
     """Build a graph from a parsed subgroup-description JSON object.
 
@@ -504,12 +500,12 @@ def from_json(obj):
         if not isinstance(spec, dict):
             raise ValueError("kernel must be an object with keys d and f")
         d, f = spec["d"], spec["f"]
-        if not _is_int(d):
+        if type(d) is not int:  # nor a bool
             raise ValueError("kernel d must be an integer, got %r" % (d,))
         if d > MAX_KERNEL_D:
             raise ValueError("kernel d must be at most %d, got %d"
                              % (MAX_KERNEL_D, d))
-        if not (isinstance(f, dict) and all(_is_int(v) for v in f.values())):
+        if not (isinstance(f, dict) and {int}.issuperset(map(type, f.values()))):
             raise ValueError("kernel f must map generator names to integers")
         return kernel_graph(f, d, alphabet)
     texts = obj["generators"]

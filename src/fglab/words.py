@@ -138,6 +138,11 @@ class Word:
     __slots__ = ("alphabet", "letters")
 
     def __init__(self, alphabet, letters=()):
+        letters = tuple(letters)
+        # types first, in one C-level pass: 1.5, True or "x" is no code
+        if not {int}.issuperset(map(type, letters)):
+            bad = next(c for c in letters if type(c) is not int)
+            raise ValueError("letter code not an int: %r" % (bad,))
         letters = free_reduce(letters)
         n = len(alphabet)
         if letters and (0 in letters or max(letters) > n or min(letters) < -n):
@@ -240,7 +245,8 @@ def parse_words(texts, alphabet):
     identity.  Each distinct token is read once, so the error raised is for
     the first bad token of the first bad text.  More than
     :data:`MAX_WORD_LETTERS` letters in all raise ParseError, counted from
-    the exponents before any letter is spelled.
+    the exponents before any letter is spelled; an exponent of more than 18
+    digits, its sign and leading zeros aside, by its length alone.
     """
     # one string object per distinct token, however often it repeats
     lengths, codes = {}, {}
@@ -250,12 +256,16 @@ def parse_words(texts, alphabet):
         m = _TOKEN_RE.match(token)
         if not m:
             raise ParseError("malformed token: %r" % (token,))
-        name, exp = m.groups()
+        name, exp = m.group(1), m.group(2) or "1"
         code = alphabet.index(name) + 1
-        k = 1 if exp is None else int(exp)
-        if k == 0:
+        # an exponent of over 18 digits is far over the bound: int() never reads it
+        digits = exp.lstrip("-").lstrip("0")
+        if len(digits) > 18:
+            raise ParseError("token %s^... has a %d-digit exponent, more than the %d "
+                             "letters allowed" % (name, len(digits), MAX_WORD_LETTERS))
+        if not digits:
             raise ParseError("zero exponent in token: %r" % (token,))
-        lengths[token], codes[token] = abs(k), code if k > 0 else -code
+        lengths[token], codes[token] = int(digits), -code if exp[0] == "-" else code
     # the letters are counted token by token only when the longest token
     # could pass the bound
     longest = max(lengths.values(), default=1)
@@ -307,52 +317,23 @@ def exponent_sums(w):
 XY = Alphabet(("x", "y"))
 
 
-def bracket_nodes(bracket):
-    """Compile a commutator bracket into its post-order node list.
-
-    A bracket is a signed letter code (as in ``Word.letters``) or a pair
-    ``(u, v)`` of brackets standing for ``[u, v]``.  Entry i of the list is
-    a leaf code, or a pair ``(j, k)`` of smaller indices standing for
-    ``[node j, node k]``; the root comes last.  A sub-bracket that occurs
-    more than once as the same object is listed once, so the list is the
-    straight-line program of the bracket.  The walk keeps its own stack,
-    so nesting depth costs no recursion.
-    """
-    index, nodes, stack = {}, [], [bracket]
-    while stack:
-        node = stack[-1]
-        if id(node) in index:
-            stack.pop()
-            continue
-        if isinstance(node, tuple):
-            u, v = node
-            pending = [c for c in (v, u) if id(c) not in index]
-            if pending:
-                stack += pending
-                continue
-            entry = (index[id(u)], index[id(v)])
-        else:
-            entry = node
-        stack.pop()
-        # every node stays referenced by the bracket, so its id is not reused
-        index[id(node)] = len(nodes)
-        nodes.append(entry)
-    return nodes
-
-
 def _fold_nodes(nodes, leaf, join):
-    """Evaluate a bracket bottom-up over its node list from ``bracket_nodes``.
+    """Evaluate a bracket bottom-up over its node list (see ``bracket_word``).
 
-    ``leaf(code)`` gives the value of a leaf and ``join(a, b)`` the value of
-    ``[u, v]`` from the values of u and v.  Each distinct node is evaluated
-    once, and its value is dropped after its last use.  Private because it
-    runs its callers' work: timing by public function charges that work
-    to the caller.
+    ``leaf(code)`` gives the value of a leaf and ``join(a, b)`` that of
+    ``[u, v]`` from the values of u and v.  Each node is evaluated once, its
+    value dropped after its last use.  An empty list, or a pair naming a node
+    not before its own, raises ValueError.  Private because it runs its
+    callers' work: timing by public function charges that work to the caller.
     """
+    if not nodes:
+        raise ValueError("a bracket has at least one node")
     uses = [0] * len(nodes)
-    for entry in nodes:
+    for at, entry in enumerate(nodes):
         if isinstance(entry, tuple):
             for i in entry:
+                if not 0 <= i < at:
+                    raise ValueError("node %d names node %d, not before it" % (at, i))
                 uses[i] += 1
     values = []
     for entry in nodes:
@@ -369,20 +350,21 @@ def _fold_nodes(nodes, leaf, join):
 
 
 def bracket_word(bracket, alphabet):
-    """The freely reduced word a commutator bracket (see ``bracket_nodes``) spells."""
-    return _fold_nodes(bracket_nodes(bracket), lambda c: Word(alphabet, (c,)),
-                       commutator)
+    """The freely reduced word a commutator bracket spells.
+
+    A bracket is a node list (a straight-line program): entry i is a signed
+    letter code, as in ``Word.letters``, or a pair ``(j, k)`` with j, k < i for
+    ``[node j, node k]``; the root comes last, and pairs may share a node."""
+    return _fold_nodes(bracket, lambda c: Word(alphabet, (c,)), commutator)
 
 
 def omega_bracket(n):
-    """omega_n as a bracket over ``XY``: ((..((x, y), x), ..), x), n trailing x's."""
+    """omega_n as a bracket over ``XY``: x, y, [x, y], then one [node, x] per
+    trailing x, so ``(x, y, (0, 1), (2, 0), ..., (n + 1, 0))``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     x, y = XY.index("x") + 1, XY.index("y") + 1
-    bracket = (x, y)
-    for _ in range(n):
-        bracket = (bracket, x)
-    return bracket
+    return (x, y, (0, 1), *((i, 0) for i in range(2, n + 2)))
 
 
 def omega(n):

@@ -44,6 +44,12 @@ class TestReduce:
         assert capsys.readouterr().err == (
             "error: malformed token: 'x^\u0663'\n")
 
+    def test_long_exponent_exit_2(self, capsys):
+        assert main(["reduce", "-a", "x", "x^" + "9" * 5000]) == 2
+        assert capsys.readouterr().err == (
+            "error: token x^... has a 5000-digit exponent, more than the "
+            "67108864 letters allowed\n")
+
     def test_too_many_letters_exit_2(self, capsys):
         assert main(["reduce", "-a", "x", "x x^1000000000"]) == 2
         assert capsys.readouterr().err == (

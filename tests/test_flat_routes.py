@@ -201,6 +201,13 @@ def test_word_rejects_out_of_range_codes():
     assert Word(RANKS[2], [5, -5]).letters == ()
 
 
+@pytest.mark.parametrize("letters, bad", [
+    ((1.5,), "1.5"), ((1, 2.0), "2.0"), ((True,), "True"), ((2, -1, "x"), "'x'")])
+def test_word_rejects_codes_that_are_not_ints(letters, bad):
+    with pytest.raises(ValueError, match=r"letter code not an int: %s\Z" % bad):
+        Word(RANKS[2], letters)
+
+
 @pytest.mark.parametrize("text,message", [
     ("x z", "unknown generator: 'z'"),
     ("x y^0 z", "zero exponent in token: 'y^0'"),

@@ -14,8 +14,8 @@ from fglab.cli import main
 from fglab.magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
                           coefficient, lcs_weight, magnus_expand, series_mul,
                           series_one, series_weight, structural_weight)
-from fglab.words import (XY, Alphabet, Word, bracket_nodes, bracket_word,
-                         commutator, generator, multiply, omega, omega_bracket)
+from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
+                         generator, multiply, omega, omega_bracket)
 
 RANKS = {rank: Alphabet("xyz"[:rank]) for rank in (1, 2, 3)}
 
@@ -26,21 +26,30 @@ def codes(rank):
 
 @st.composite
 def brackets(draw):
+    """A tree: a node list whose every node but the root is used once."""
     rank = draw(st.integers(1, 3))
-    bracket = draw(st.recursive(codes(rank), lambda inner: st.tuples(inner, inner),
-                                max_leaves=8))
-    return rank, bracket
+    nodes = draw(st.lists(codes(rank), min_size=1, max_size=8))
+    free = list(range(len(nodes)))
+    while len(free) > 1:
+        j, k = (free.pop(draw(st.integers(0, len(free) - 1))) for _ in range(2))
+        free.append(len(nodes))
+        nodes.append((j, k))
+    return rank, tuple(nodes)
+
+
+def pairs_of_earlier_nodes(draw, nodes, most):
+    """Append up to ``most`` pairs of earlier nodes, so nodes may be shared."""
+    for _ in range(draw(st.integers(0, most))):
+        nodes.append(tuple(draw(st.integers(0, len(nodes) - 1)) for _ in range(2)))
+    return tuple(nodes)
 
 
 @st.composite
 def shared_brackets(draw):
-    """A bracket whose nodes pair earlier nodes, so sub-brackets may be shared."""
+    """A node list whose pairs name any earlier nodes."""
     rank = draw(st.integers(1, 3))
-    pool = draw(st.lists(codes(rank), min_size=1, max_size=4))
-    for _ in range(draw(st.integers(0, 4))):
-        i, j = (draw(st.integers(0, len(pool) - 1)) for _ in range(2))
-        pool.append((pool[i], pool[j]))
-    return rank, pool[-1]
+    leaves = draw(st.lists(codes(rank), min_size=1, max_size=4))
+    return rank, pairs_of_earlier_nodes(draw, leaves, 4)
 
 
 @st.composite
@@ -49,11 +58,8 @@ def sub_brackets(draw):
     rank = draw(st.sampled_from([1, 2, 3, 5, 6]))
     gens = draw(st.lists(st.integers(1, rank), min_size=1, max_size=3, unique=True))
     leaves = st.sampled_from([s * g for g in gens for s in (1, -1)])
-    pool = draw(st.lists(leaves, min_size=1, max_size=4))
-    for _ in range(draw(st.integers(0, 3))):
-        i, j = (draw(st.integers(0, len(pool) - 1)) for _ in range(2))
-        pool.append((pool[i], pool[j]))
-    return Alphabet("xyzuvw"[:rank]), pool[-1]
+    nodes = draw(st.lists(leaves, min_size=1, max_size=4))
+    return Alphabet("xyzuvw"[:rank]), pairs_of_earlier_nodes(draw, nodes, 3)
 
 
 @st.composite
@@ -62,22 +68,15 @@ def words(draw, max_size=20):
     return Word(RANKS[rank], draw(st.lists(codes(rank), max_size=max_size)))
 
 
-def spelled(bracket, alphabet):
-    """The oracle: the word a bracket spells, by recursion on the tree."""
-    if isinstance(bracket, tuple):
-        u, v = bracket
-        return commutator(spelled(u, alphabet), spelled(v, alphabet))
-    return Word(alphabet, (bracket,))
-
-
-def distinct_nodes(bracket, seen=None):
-    """The number of distinct node objects in a bracket."""
-    seen = set() if seen is None else seen
-    seen.add(id(bracket))
-    if isinstance(bracket, tuple):
-        for child in bracket:
-            distinct_nodes(child, seen)
-    return len(seen)
+def spelled(nodes, alphabet):
+    """The oracle: the word a node list spells, one commutator per pair."""
+    values = []
+    for entry in nodes:
+        if isinstance(entry, tuple):
+            values.append(commutator(values[entry[0]], values[entry[1]]))
+        else:
+            values.append(Word(alphabet, (entry,)))
+    return values[-1]
 
 
 def letter_series(code, cap):
@@ -98,19 +97,8 @@ def folded_expand(w, cap):
 def test_bracket_route_equals_flat_route(rank_bracket, cap):
     rank, bracket = rank_bracket
     word = bracket_word(bracket, RANKS[rank])
+    assert word == spelled(bracket, RANKS[rank])
     assert bracket_expand(bracket, cap) == magnus_expand(word, cap)
-
-
-@settings(max_examples=300, deadline=None)
-@given(shared_brackets())
-def test_node_list_lists_each_shared_node_once(rank_bracket):
-    rank, bracket = rank_bracket
-    nodes = bracket_nodes(bracket)
-    assert len(nodes) == distinct_nodes(bracket)
-    for i, node in enumerate(nodes):
-        if isinstance(node, tuple):
-            assert max(node) < i
-    assert bracket_word(bracket, RANKS[rank]) == spelled(bracket, RANKS[rank])
 
 
 @settings(max_examples=300, deadline=None)
@@ -118,7 +106,23 @@ def test_node_list_lists_each_shared_node_once(rank_bracket):
 def test_bracket_route_equals_flat_route_on_shared_brackets(rank_bracket, cap):
     rank, bracket = rank_bracket
     word = bracket_word(bracket, RANKS[rank])
+    assert word == spelled(bracket, RANKS[rank])
     assert bracket_expand(bracket, cap) == magnus_expand(word, cap)
+
+
+@pytest.mark.parametrize("route", [
+    lambda nodes: bracket_word(nodes, RANKS[2]), structural_weight,
+    lambda nodes: bracket_expand(nodes, 4)],
+    ids=["bracket_word", "structural_weight", "bracket_expand"])
+@pytest.mark.parametrize("nodes, message", [
+    ((1, 2, (0, 3), -1), "node 2 names node 3"),   # forward
+    ((1, (0, 1)), "node 1 names node 1"),          # itself
+    ((1, 2, (0, -1)), "node 2 names node -1"),     # negative: not the last
+    ((), "at least one node"),
+], ids=["forward", "itself", "negative", "empty"])
+def test_pairs_name_only_earlier_nodes(route, nodes, message):
+    with pytest.raises(ValueError, match=message):
+        route(nodes)
 
 
 def assert_routes_agree(bracket, alphabet, cap):
@@ -144,18 +148,21 @@ X, Y, Z = 1, 2, 3
 RANK_6 = Alphabet("xyzuvw")
 
 
+# a one-leaf bracket's id is its letter code
 @pytest.mark.parametrize("alphabet, bracket, base", [
-    (RANKS[3], ((Y, -Z), (-Y, Z)), 3),    # y and z only: x's digit 0 unused
-    (RANKS[3], ((X, -Y), ((X, Y), -X)), 2),  # x and y only: base 2 < rank 3
-    (RANKS[3], -X, 1),                     # x only: base 1, every digit 0
-    (RANKS[1], -X, 1),
-    (RANKS[1], (X, -X), 1),
-    (RANK_6, ((6, -5), (-6, (X, 4))), 6),
-    (RANK_6, ((Z, -5), Z), 5),
-])
+    # [[y, z^-1], [y^-1, z]]: y and z only, x's digit 0 unused
+    (RANKS[3], (Y, -Z, (0, 1), -Y, Z, (3, 4), (2, 5)), 3),
+    # [[x, y^-1], [[x, y], x^-1]]: x and y only, base 2 < rank 3
+    (RANKS[3], (X, -Y, (0, 1), Y, (0, 3), -X, (4, 5), (2, 6)), 2),
+    (RANKS[3], (-X,), 1),                  # x only: base 1, every digit 0
+    (RANKS[1], (-X,), 1),
+    (RANKS[1], (X, -X, (0, 1)), 1),
+    (RANK_6, (6, -5, (0, 1), -6, X, 4, (4, 5), (3, 6), (2, 7)), 6),
+    (RANK_6, (Z, -5, (0, 1), (2, 0)), 5),
+], ids=lambda value: str(value[0]) if value == (-X,) else None)
 @pytest.mark.parametrize("cap", [1, 4, 7])
 def test_routes_agree_on_sub_alphabets(alphabet, bracket, base, cap):
-    assert magnus._key_base(bracket_nodes(bracket)) == base
+    assert magnus._key_base(bracket) == base
     assert_routes_agree(bracket, alphabet, cap)
 
 
@@ -223,7 +230,8 @@ def test_witness_fails_when_the_coefficient_skips_inverse_letters(
         capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bracket", [omega_bracket(2), (((X, -Y), X), X)])
+@pytest.mark.parametrize("bracket", [omega_bracket(2),
+                                     (X, -Y, (0, 1), (2, 0), (3, 0))])
 def test_witness_fails_when_the_bracket_does_not_spell_the_letters(
         capsys, monkeypatch, bracket):
     issue_with(monkeypatch, lambda cert: cert._replace(bracket=bracket))

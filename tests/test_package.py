@@ -14,7 +14,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 # the names ``fglab`` exports, by the layer that defines them
 PUBLIC = {
-    words: "Alphabet ParseError Word bracket_nodes bracket_word commutator "
+    words: "Alphabet ParseError Word bracket_word commutator "
            "exponent_sums generator identity inverse multiply omega "
            "omega_bracket parse_word",
     stallings: "INFINITE InfiniteIndexError NotInSubgroupError SchreierBasis "

@@ -82,6 +82,25 @@ class TestParse:
         assert len(parse_word(" ".join(["x^100000"] + ["y"] * 1000), XY)) \
             == 101000
 
+    @pytest.mark.parametrize("digits", [19, 4299, 5000])
+    def test_long_exponent_is_refused_by_its_length(self, digits):
+        # never read by int(), which refuses 4300 digits or more; the
+        # message gives the length, not a count as long as the exponent
+        for sign in ("", "-"):
+            with pytest.raises(ParseError) as caught:
+                parse_word("y x^%s%s" % (sign, "9" * digits), XY)
+            assert str(caught.value) == (
+                "token x^... has a %d-digit exponent, more than the %d "
+                "letters allowed" % (digits, MAX_WORD_LETTERS))
+
+    def test_leading_zeros_do_not_count(self):
+        assert parse_word("x^0000000000001", XY) == parse_word("x", XY)
+        assert parse_word("y^-%s3" % ("0" * 5000), XY) == parse_word("y^-3", XY)
+        with pytest.raises(ParseError, match="more than the 67108864 allowed"):
+            parse_word("x^%s999999999999999999" % ("0" * 5000), XY)
+        with pytest.raises(ParseError, match="zero exponent"):
+            parse_word("x^-%s" % ("0" * 5000), XY)
+
     def test_round_trip_canonical_form(self):
         rng = random.Random(7)
         for _ in range(500):
