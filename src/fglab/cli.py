@@ -11,6 +11,7 @@ finite index on an infinite-index subgroup).
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import stallings, words
@@ -216,6 +217,10 @@ def cmd_verify(args):
 
 def _positive(kind, most=None):
     def convert(text):
+        # ASCII digits, as in word exponents: int() also reads other Unicode
+        # digits, underscores, a plus sign and surrounding spaces
+        if not re.fullmatch("-?[0-9]+", text):
+            raise ValueError(text)
         value = int(text)
         if value < kind:
             raise argparse.ArgumentTypeError("must be >= %d" % kind)

@@ -136,106 +136,97 @@ def build_graph(generators, alphabet):
     (see ``SubgroupGraph``).  Empty/identity generators are dropped; an
     empty list gives the trivial subgroup's one-vertex graph.
 
-    The fold fills the columns ``steps[c]`` of ``SubgroupGraph``.  Each
-    generator is read from the base along existing edges, forwards from its
-    start and backwards from its end; only the letters in between add new
-    vertices.  Two c-edges at one vertex make a pair of vertices to merge,
-    and one union-find stack merges them.  Folding already yields the core:
-    each generator is reduced, so every vertex but the base lies inside a
-    non-backtracking closed path and has degree at least 2.
+    The fold fills the columns ``steps[c]`` of ``SubgroupGraph`` and keeps
+    them exact: every edge is stored at both of its ends, and no entry
+    names a merged vertex.  Each generator is read from the base along
+    existing edges, forwards from its start and backwards from its end;
+    only the letters in between add new vertices.  ``join`` adds an edge,
+    or queues two vertices to merge where an end already has an edge of
+    its label; one union-find stack merges them.  ``move`` carries every
+    edge of a vertex to another, for a merge and for the renumbering.
+    Folding already yields the core: each generator is reduced, so every
+    vertex but the base lies inside a non-backtracking closed path and has
+    degree at least 2.
     """
     steps = [[None] for _ in range(2 * len(alphabet) + 1)]
-    columns, parent, pending, merged = steps[1:], [0], [], []
+    parent, pending, merged = [0], [], []
 
     def find(v):
         while parent[v] != v:
             parent[v] = v = parent[parent[v]]
         return v
 
+    def join(u, c, v):
+        # at most one c-edge leaves u and one -c edge leaves v; where one is
+        # there, the new edge folds onto it once the far ends merge
+        s, r = steps[c][u], steps[-c][v]
+        if s is None and r is None:
+            steps[c][u], steps[-c][v] = v, u
+        elif s != v:
+            pending.extend(pair for pair in ((s, v), (r, u)) if pair[0] is not None)
+
+    def move(b, a):
+        # steps[-c] is the column of the inverse code for every c in range
+        for c in range(1, len(steps)):
+            t = steps[c][b]
+            if t is not None:
+                steps[c][b] = steps[-c][t] = None
+                join(a, c, a if t == b else t)
+
     for w in generators:
         if w.alphabet != alphabet:
             raise ValueError("generator %r not over %r" % (w, alphabet))
         letters = w.letters
-        # a read calls find only at a merged vertex, so never before a merge
         u = i = 0
         for c in letters:
             t = steps[c][u]
             if t is None:
                 break
-            u = t if parent[t] == t else find(t)
-            i += 1
+            u, i = t, i + 1
         v, j = 0, len(letters)
         while j > i:
             t = steps[-letters[j - 1]][v]
             if t is None:
                 break
-            v = t if parent[t] == t else find(t)
-            j -= 1
+            v, j = t, j - 1
         if i == j:
             # the whole generator reads as the paths 0 -> u and v -> 0
             pending.append((u, v))
         else:
             first, fresh = len(parent), j - 1 - i
             parent += range(first, first + fresh)
-            for column in columns:
-                column += [None] * fresh
-            # the table shares parent's int objects for the new vertices
+            for c in range(1, len(steps)):
+                steps[c] += [None] * fresh
+            # the table shares parent's int objects for the new vertices; u
+            # has no c-edge, since it is fresh and w is reduced, or it ended
+            # the forward read
             for c, x in zip(letters[i:j - 1], parent[first:]):
                 steps[c][u], steps[-c][x] = x, u
                 u = x
-            # u has no c-edge: it is fresh and w is reduced, or it ended the
-            # forward read.  v has a -c edge only if the new path left v
-            # along -c.
-            c = letters[j - 1]
-            s = steps[-c][v]
-            if s is None:
-                steps[c][u], steps[-c][v] = v, u
-            else:
-                pending.append((s, u))
+            join(u, letters[j - 1], v)
         while pending:
             a, b = map(find, pending.pop())
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            # the smaller vertex stays the root, so the base stays 0
-            parent[b] = a
-            merged.append(b)
-            for column in columns:
-                s, t = column[a], column[b]
-                if s is None:
-                    column[a] = t
-                elif t is not None:
-                    pending.append((s, t))
+            if a != b:
+                if a > b:
+                    a, b = b, a
+                # the smaller vertex stays the root, so the base stays 0
+                parent[b] = a
+                merged.append(b)
+                move(b, a)
 
-    # the loops above leave column bound too; each list must go as soon as
-    # its tuple is made
-    columns = column = None
+    # n vertices survive; those numbered n or more move into the numbers the
+    # merged vertices leave free below n
+    n = len(parent) - len(merged)
+    holes = [b for b in merged if b < n]
+    for h, v in zip(holes, [v for v in range(n, len(parent)) if parent[v] == v]):
+        move(v, h)
+        parent[h] = h
+    del parent[n:]
     steps[0] = parent
-    if merged:
-        # n vertices survive; those numbered n or more take the numbers the
-        # merged vertices leave free below n.  label holds only them and the
-        # merged vertices (each read as its root), so every other entry,
-        # None too, keeps its object
-        n = len(parent) - len(merged)
-        gone = set(merged)
-        holes = [b for b in merged if b < n]
-        movers = [v for v in range(n, len(parent)) if v not in gone]
-        label = dict(zip(movers, holes))
-        for b in merged:
-            r = find(b)
-            label[b] = label.get(r, r)
-        for c in range(len(steps)):
-            column = steps[c]
-            for h, v in zip(holes, movers):
-                column[h] = column[v]
-            del column[n:]
-            steps[c] = tuple(map(label.get, column, column))
-    else:
-        # tuple() copies a list in one step; a map through label.get costs a
-        # call per entry (16-19 ms against 2-3 ms on 7 columns of 40000)
-        for c in range(1, len(steps)):
-            steps[c] = tuple(steps[c])
+    # each list goes as soon as its tuple is made
+    for c in range(1, len(steps)):
+        del steps[c][n:]
+        steps[c] = tuple(steps[c])
     return SubgroupGraph(alphabet, steps)
 
 

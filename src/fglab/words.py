@@ -322,19 +322,22 @@ def _fold_nodes(nodes, leaf, join):
 
     ``leaf(code)`` gives the value of a leaf and ``join(a, b)`` that of
     ``[u, v]`` from the values of u and v.  Each node is evaluated once, its
-    value dropped after its last use.  An empty list, or a pair naming a node
-    not before its own, raises ValueError.  Private because it runs its
-    callers' work: timing by public function charges that work to the caller.
+    value dropped after its last use.  An empty list, a leaf not a nonzero
+    ``int``, or a pair naming a node not before its own raises ValueError.
+    Private because it runs its callers' work: timing by public function
+    charges that work to the caller.
     """
     if not nodes:
         raise ValueError("a bracket has at least one node")
     uses = [0] * len(nodes)
     for at, entry in enumerate(nodes):
-        if isinstance(entry, tuple):
+        if isinstance(entry, tuple) and len(entry) == 2:
             for i in entry:
-                if not 0 <= i < at:
-                    raise ValueError("node %d names node %d, not before it" % (at, i))
+                if type(i) is not int or not 0 <= i < at:
+                    raise ValueError("node %d names node %r, not before it" % (at, i))
                 uses[i] += 1
+        elif type(entry) is not int or not entry:   # nor a bool
+            raise ValueError("node %d is %r, not a nonzero int or a pair" % (at, entry))
     values = []
     for entry in nodes:
         if isinstance(entry, tuple):

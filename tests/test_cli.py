@@ -256,7 +256,8 @@ class TestWeight:
         assert run(capsys, "weight", str(omega(2))) == (0, ">=3")
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "",
-                                       str(magnus.MAX_CAP + 1), "100000"])
+                                       str(magnus.MAX_CAP + 1), "100000",
+                                       "\u0663", " \u0663", "1_0", " 3"])
     def test_bad_env_cap_exit_2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("FGLAB_MAGNUS_CAP", value)
         assert main(["weight", "x y x^-1 y^-1"]) == 2
@@ -497,6 +498,13 @@ class TestIntegerOptions:
         (["witness", "--d", "2", "--m", "2.5"], "--m", "2.5"),
         (["verify", "--d-max", "1x"], "--d-max", "1x"),
         (["verify", "--n-max", ""], "--n-max", ""),
+        # int() reads these too; integer options take ASCII digits only
+        (["omega", "\u0663"], "n", "\u0663"),
+        (["verify", "--n-max", "\u0663"], "--n-max", "\u0663"),
+        (["witness", "--d", "\u0663", "--m", "2"], "--d", "\u0663"),
+        (["witness", "--d", "3", "--m", "1_0"], "--m", "1_0"),
+        (["weight", "--cap", " 3", "x"], "--cap", " 3"),
+        (["verify", "--d-max", "+3"], "--d-max", "+3"),
     ])
     def test_non_integer_is_an_invalid_int(self, capsys, argv, option, value):
         # argparse's own wording for type=int, not the converter's name

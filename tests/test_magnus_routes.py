@@ -119,7 +119,14 @@ def test_bracket_route_equals_flat_route_on_shared_brackets(rank_bracket, cap):
     ((1, (0, 1)), "node 1 names node 1"),          # itself
     ((1, 2, (0, -1)), "node 2 names node -1"),     # negative: not the last
     ((), "at least one node"),
-], ids=["forward", "itself", "negative", "empty"])
+    # leaves: the empty letter, a float, a bool and a list are no codes
+    ((0, 1, (0, 1)), "node 0 is 0, not a nonzero int or a pair"),
+    ((0,), "node 0 is 0, not a nonzero int or a pair"),
+    ((1.5, 2, (0, 1)), "node 0 is 1.5, not a nonzero int or a pair"),
+    ((True, 2, (0, 1)), "node 0 is True, not a nonzero int or a pair"),
+    ((1, 2, [0, 1]), r"node 2 is \[0, 1\], not a nonzero int or a pair"),
+], ids=["forward", "itself", "negative", "empty", "zero-leaf", "zero-root",
+        "float-leaf", "bool-leaf", "list-pair"])
 def test_pairs_name_only_earlier_nodes(route, nodes, message):
     with pytest.raises(ValueError, match=message):
         route(nodes)

@@ -466,6 +466,27 @@ class TestFoldOracle:
         assert g.n_vertices > 40_000
         assert peak < 2.5 * result
 
+    def test_merges_at_scale_keep_the_table_exact(self):
+        # the first generator, conjugated by a letter, is reduced but not
+        # cyclically reduced: its last edge meets the base's edge of its
+        # first letter, so the fold merges, and a later vertex takes the
+        # number the merge leaves free
+        gens = long_random_words()
+        w = gens[0].letters
+        t = next(c for c in (1, 2, 3) if c not in (-w[0], w[-1]))
+        gens[0] = Word(ABC, (t,) + w + (-t,))
+        assert build_graph(gens[:1], ABC).n_vertices == len(gens[0]) - 1
+        g = build_graph(gens, ABC)
+        n = g.n_vertices
+        assert g.steps[0] == tuple(range(n)) and n > 40_000
+        for c in (1, -1, 2, -2, 3, -3):
+            assert len(g.steps[c]) == n
+            for u, v in enumerate(g.steps[c]):
+                # over all c, this reads: steps[c][u] == v iff steps[-c][v] == u
+                assert v is None or (0 <= v < n and g.steps[-c][v] == u)
+        assert all(contains(g, gen) for gen in gens)
+        assert g == build_graph(gens[::-1], ABC)
+
     def test_fold_runs_no_search(self, monkeypatch):
         def search(*args):
             raise AssertionError("build_graph searched its graph")
