@@ -4,8 +4,7 @@ Subcommands cover every library operation plus a one-shot ``verify`` that
 runs the whole battery of cross-checks over a range of moduli.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 domain error (e.g. a word outside the subgroup, or a query that needs
-finite index on an infinite-index subgroup).
+3 a word outside the subgroup.
 """
 
 import argparse
@@ -95,6 +94,10 @@ def _load_subgroup(path):
 
 
 def cmd_subgroup(args):
+    wants_word = args.query in ("contains", "rewrite")
+    if wants_word != (args.word is not None):
+        raise ParseError("%s %s word argument"
+                         % (args.query, "needs a" if wants_word else "takes no"))
     graph, preferred = _load_subgroup(args.file)
 
     if args.query == "index":
@@ -107,9 +110,7 @@ def cmd_subgroup(args):
         _emit(args, {"normal": normal}, str(normal).lower())
         return 0
 
-    if args.query in ("contains", "rewrite") and args.word is None:
-        raise ParseError("%s needs a word argument" % args.query)
-    if args.word is not None:
+    if wants_word:
         word = parse_word(args.word, graph.alphabet)
 
     if args.query == "contains":
@@ -152,15 +153,13 @@ def cmd_witness(args):
     except engine.VerificationError as exc:
         print("verification failed: %s" % exc, file=sys.stderr)
         return 1
+    human = "wrote %s" % args.out
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        if not args.json:
-            print("wrote %s" % args.out)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    elif not args.out:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    elif not args.json:
+        human = json.dumps(payload, sort_keys=True, indent=2)
+    _emit(args, payload, human)
     return 0
 
 
@@ -291,7 +290,7 @@ def main(argv=None):
     args = _parser.parse_args(argv)
     try:
         return globals()["cmd_" + args.command](args)
-    except (stallings.NotInSubgroupError, stallings.InfiniteIndexError) as exc:
+    except stallings.NotInSubgroupError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
     except (ParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:

@@ -27,10 +27,6 @@ class NotInSubgroupError(ValueError):
     """Raised when a word is required to lie in the subgroup but does not."""
 
 
-class InfiniteIndexError(ValueError):
-    """Raised when an operation needs a finite-index subgroup but has none."""
-
-
 class SubgroupGraph:
     """Folded core graph with base vertex 0.
 
@@ -247,16 +243,17 @@ def index(graph):
 def is_normal(graph):
     """Whether the subgroup H is normal, in O(k^2 n) for k generators.
 
-    A finite-index graph is complete, so its loops at any vertex form a
-    conjugate of H: those at g(0) spell g^-1 H g.  H is normal iff
-    H = g^-1 H g for every generator g, that is, iff the graph based at
-    g(0) equals the graph based at 0.  One lockstep walk per generator
-    decides it, and the first walk that fails decides it false.
+    H is normal iff H = g^-1 H g for every generator g.  Where the g-edge
+    at the base exists, the loops at its end g(0) spell g^-1 H g, so that
+    holds iff the graph based at g(0) equals the graph based at 0, which one
+    lockstep walk decides.  Where it is missing and H != 1, the graph of
+    g^-1 H g is this one with a new base b and the g-edge 0 -> b: one vertex
+    more, so H is not normal.  The graph of H = 1 is one vertex, no edge.
     """
-    if index(graph) is INFINITE:
-        raise InfiniteIndexError("is_normal requires finite index")
-    return all(graph._walk(graph, row[0])
-               for row in graph.steps[1:len(graph.alphabet) + 1])
+    ends = [row[0] for row in graph.steps[1:len(graph.alphabet) + 1]]
+    if None in ends:
+        return graph.n_vertices == 1 and set(ends) == {None}
+    return all(graph._walk(graph, v) for v in ends)
 
 
 def kernel_graph(f, d, alphabet):
@@ -295,7 +292,7 @@ def _spelled(alphabet, runs):
 
 class Transversal(namedtuple("Transversal", "graph tree order start k preferred",
                              defaults=(None,))):
-    """Schreier transversal from a BFS spanning tree.
+    """BFS spanning tree of a core graph; at finite index, a coset transversal.
 
     tree[v] is the signed code of the tree edge entering v, 0 at the base:
     the c-edge v -> w is a tree edge iff tree[w] == c or tree[v] == -c.
@@ -323,7 +320,7 @@ class Transversal(namedtuple("Transversal", "graph tree order start k preferred"
 
 
 def schreier_transversal(graph, preferred=None):
-    """BFS spanning tree of a finite-index graph.
+    """BFS spanning tree of a core graph.
 
     When ``preferred`` names a generator, a first pass follows only its
     forward edges, so a kernel graph with f(preferred)=1 gets the
@@ -331,8 +328,6 @@ def schreier_transversal(graph, preferred=None):
     then reached by ordinary BFS (preferred generator first, forward
     before backward edges).
     """
-    if index(graph) is INFINITE:
-        raise InfiniteIndexError("transversal requires finite index")
     alphabet = graph.alphabet
     gen_order, tree = range(len(alphabet)), None
     if preferred is not None:
@@ -396,7 +391,8 @@ def schreier_basis(graph, transversal):
     rows = graph.steps[1:len(alphabet) + 1]
     nontree = [(u, g) for u in transversal.order
                for g, row in enumerate(rows)
-               if tree[row[u]] != g + 1 and tree[u] != -g - 1]
+               if row[u] is not None
+               and tree[row[u]] != g + 1 and tree[u] != -g - 1]
 
     preferred = transversal.preferred
     p_idx = alphabet.index(preferred) if preferred is not None else None
@@ -419,10 +415,10 @@ def rewrite(graph, transversal, basis, w):
     reducing in F recovers w exactly.  The walk reads ``emits[c][v]``, the
     signed basis letter the c-edge at v emits (0 on a tree edge), a table
     the size of the graph built from ``basis.edges`` on each call, so no
-    word is spelled; the graph has finite index, so the path never breaks.
-    The result is reduced without a reduction pass: two adjacent letters
-    s, s^-1 would need a closed tree path between the two crossings, which
-    a reduced w never takes.
+    word is spelled.  A path that leaves the graph or ends off the base
+    raises NotInSubgroupError.  The result is reduced without a reduction
+    pass: two adjacent letters s, s^-1 would need a closed tree path between
+    the two crossings, which a reduced w never takes.
     """
     if w.alphabet != graph.alphabet:
         raise ValueError("alphabet mismatch")
@@ -435,11 +431,14 @@ def rewrite(graph, transversal, basis, w):
     v = 0
     emitted = []
     append = emitted.append
-    for c in w.letters:
-        e = emits[c][v]
-        if e:
-            append(e)
-        v = steps[c][v]
+    try:
+        for c in w.letters:
+            e = emits[c][v]
+            if e:
+                append(e)
+            v = steps[c][v]
+    except TypeError:                    # emits[c][None]: the path broke
+        v = None
     if v != 0:
         raise NotInSubgroupError("word %r does not return to base" % (str(w),))
     return _word(basis.alphabet, tuple(emitted))

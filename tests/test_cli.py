@@ -104,12 +104,29 @@ class TestSubgroup:
     def test_rewrite_outside_subgroup_exit_3(self, capsys):
         assert main(["subgroup", "rewrite", fixture("kernel_d3.json"), "x"]) == 3
 
+    def test_rewrite_off_an_infinite_index_graph_exit_3(self, capsys, tmp_path):
+        # <a^2> has no b-edge, so the path of a b a^-1 breaks after a
+        path = tmp_path / "sub.json"
+        path.write_text('{"alphabet": ["a", "b"], "generators": ["a^2"]}')
+        assert main(["subgroup", "rewrite", str(path), "a b a^-1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: word 'a b a^-1' does not return to base\n")
+
     @pytest.mark.parametrize("query", ["contains", "rewrite"])
     def test_word_query_without_a_word_exit_2(self, capsys, query):
         assert main(["subgroup", query, fixture("kernel_d3.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: %s needs a word argument\n" % query
+
+    # a word that does not parse, one that does, and the empty word
+    @pytest.mark.parametrize("word", ["zz^", "a", ""])
+    @pytest.mark.parametrize("query", ["index", "normal", "basis"])
+    def test_query_taking_no_word_refuses_one_exit_2(self, capsys, query, word):
+        assert main(["subgroup", query, fixture("paper_index3.json"), word]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s takes no word argument\n" % query
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["subgroup", "index", "no_such_file.json"]) == 2
@@ -222,11 +239,11 @@ class TestSubgroup:
             "d": stallings.MAX_KERNEL_D, "f": {"x": 1, "y": 3}}}))
         assert run(capsys, "subgroup", "normal", str(path)) == (0, "true")
 
-    def test_normal_on_infinite_index_exit_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("gens, normal", [(["a"], "false"), ([], "true")])
+    def test_normal_on_infinite_index(self, capsys, tmp_path, gens, normal):
         path = tmp_path / "sub.json"
-        path.write_text('{"alphabet": ["a", "b"], "generators": ["a"]}')
-        assert main(["subgroup", "normal", str(path)]) == 3
-        assert "finite index" in capsys.readouterr().err
+        path.write_text(json.dumps({"alphabet": ["a", "b"], "generators": gens}))
+        assert run(capsys, "subgroup", "normal", str(path)) == (0, normal)
 
 
 class TestWeight:

@@ -22,6 +22,13 @@ MAPS = ((1, 0), (2, 1), (1, 3))
 # kernels past the d = 2..16 grid: x preferred, and nothing preferred
 # (basis s1..sk, representatives x^k and x^-k)
 LARGE_KERNELS = ((257, (1, 0)), (257, (2, 0)))
+# infinite-index generator files over a, b: (generators, a word of the
+# subgroup, a word outside it)
+GENERATOR_FILES = {
+    "gens_a.json": (["a"], "a^3", "a b"),
+    "gens_a_bab.json": (["a", "b a b^-1"], "a b a^2 b^-1", "b"),
+    "gens_trivial.json": ([], "a a^-1", "a"),
+}
 
 
 def kernel_name(d, f):
@@ -58,6 +65,13 @@ def battery():
         for n in range(15):
             yield "omega", ["subgroup", "rewrite", kernel_name(d, (1, 0)),
                             "omega(%d)" % n]
+    for name, (_, member, outsider) in GENERATOR_FILES.items():
+        for query in ("index", "normal", "basis"):
+            yield "generators", ["--json", "subgroup", query, name]
+            yield "generators", ["subgroup", query, name]
+        for word in (member, outsider):
+            yield "generators", ["--json", "subgroup", "rewrite", name, word]
+        yield "generators", ["subgroup", "rewrite", name, member]
 
 
 def key(argv):
@@ -75,16 +89,20 @@ def kernel_dir(tmp_path_factory):
         (path / kernel_name(d, f)).write_text(json.dumps(
             {"alphabet": ["x", "y"],
              "kernel": {"d": d, "f": {"x": f[0], "y": f[1]}}}))
+    for name, (gens, _, _) in GENERATOR_FILES.items():
+        (path / name).write_text(json.dumps(
+            {"alphabet": ["a", "b"], "generators": gens}))
     return path
 
 
 def resolve(argv, kernel_dir):
-    """argv with kernel and fixture names as paths, omega(n) spelled."""
+    """argv with kernel, generator and fixture names as paths, omega(n)
+    spelled."""
     out = []
     for arg in argv:
         if arg in FIXTURE_NAMES:
             arg = str(FIXTURES / arg)
-        elif arg.startswith("kernel_"):
+        elif arg.startswith(("kernel_", "gens_")):
             arg = str(kernel_dir / arg)
         elif arg.startswith("omega("):
             arg = str(omega(int(arg[6:-1])))
@@ -97,7 +115,7 @@ def test_battery_is_frozen_whole():
 
 
 @pytest.mark.parametrize("group", ["subgroup", "fixtures", "witness",
-                                   "verify", "omega"])
+                                   "verify", "omega", "generators"])
 def test_output_bytes_match(group, kernel_dir, capsys):
     changed = []
     for g, argv in battery():
@@ -589,4 +607,31 @@ ef77a8d08870044d1667e4079bb65d9bd198cb5a2f8315b7ed9acf7bf7d3a2a5  subgroup rewri
 120b609f9c2a040d36084bca7396746805ee1f990d6e5888c9c26c5725d5f4d0  subgroup rewrite kernel_16_1_0.json omega(12)
 f6d8a4d91661abdae237fb5af73dd436accee1517a117169f2ca904b5e429811  subgroup rewrite kernel_16_1_0.json omega(13)
 4ca922ee1b6cfcf68731209921d698a98f06e0849e74a42f1c5225832c6ef85d  subgroup rewrite kernel_16_1_0.json omega(14)
+8a4f4e2a0c31005d91193d267641c390a59e3fb817865602730d0f2d3f0d115e  --json subgroup index gens_a.json
+9a46e81ac0d1d664d01fff130300c767081df8ed05f69d25ce83b949b5186729  subgroup index gens_a.json
+9f6e7380affb69d3beca38ae3bf2188a70c7aab1fc6198d2e66cfd8887bb1951  --json subgroup normal gens_a.json
+a9c8ba4ff0dc56ac5191eb78c7b3ded913d78bdec36c9528085643a4463fb90d  subgroup normal gens_a.json
+112a9e7c996c280964c7d897cb32f4260671288895556df28d3b59319a38ae4e  --json subgroup basis gens_a.json
+1fb0b19dd644f4aa011478d91bbc6c3a56c822d66b6734b910a1ab65baf63e2f  subgroup basis gens_a.json
+bd51f5e6c1900608857f473609e6e42a37c42e2c62655707b3077cc307fc5014  --json subgroup rewrite gens_a.json a^3
+1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2  --json subgroup rewrite gens_a.json a b
+d19ec38d4d4d0cdeaa9f07b928c16ffb0e1a66b41506364a731d17bc97bc16e6  subgroup rewrite gens_a.json a^3
+8a4f4e2a0c31005d91193d267641c390a59e3fb817865602730d0f2d3f0d115e  --json subgroup index gens_a_bab.json
+9a46e81ac0d1d664d01fff130300c767081df8ed05f69d25ce83b949b5186729  subgroup index gens_a_bab.json
+9f6e7380affb69d3beca38ae3bf2188a70c7aab1fc6198d2e66cfd8887bb1951  --json subgroup normal gens_a_bab.json
+a9c8ba4ff0dc56ac5191eb78c7b3ded913d78bdec36c9528085643a4463fb90d  subgroup normal gens_a_bab.json
+8a20c9652ef582b24327aaa4f818c96e2ab7712c9b11b9eaf488a5c484cecf07  --json subgroup basis gens_a_bab.json
+72a3ad6f03b82c166bf83b253653e86952dd9c5612cdf157b894ee5e3d3ff343  subgroup basis gens_a_bab.json
+ff063d4177147f9cbd56c3b91b639cbf135e033e317cb16ab417a8d6ce101e68  --json subgroup rewrite gens_a_bab.json a b a^2 b^-1
+1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2  --json subgroup rewrite gens_a_bab.json b
+786cf49c43f5e75d9e2fcc186c30ca9df1509b117ad0e989b26b6ceb4c6d2043  subgroup rewrite gens_a_bab.json a b a^2 b^-1
+8a4f4e2a0c31005d91193d267641c390a59e3fb817865602730d0f2d3f0d115e  --json subgroup index gens_trivial.json
+9a46e81ac0d1d664d01fff130300c767081df8ed05f69d25ce83b949b5186729  subgroup index gens_trivial.json
+dc91d5735abef40a435b0babcecfa8d0120a9c138f9a487fc11bb3419f48d013  --json subgroup normal gens_trivial.json
+d443d19d6e7ac63812965a81ce194e39db46658b66271387a4a8c33e24719a9c  subgroup normal gens_trivial.json
+7bac0eed58a0fbb158e714176fec15eafa63c50aa120fede710d1d58a3a15259  --json subgroup basis gens_trivial.json
+74d01a0c051c963d9a9b8ab9dbeab1723f0ad8534ea9fa6a942f358d7fa011b4  subgroup basis gens_trivial.json
+73c96da1620d226707f7149be3fe18f9c408fd98c3f4a9cfba9b30c7374d0861  --json subgroup rewrite gens_trivial.json a a^-1
+1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2  --json subgroup rewrite gens_trivial.json a
+74d01a0c051c963d9a9b8ab9dbeab1723f0ad8534ea9fa6a942f358d7fa011b4  subgroup rewrite gens_trivial.json a a^-1
 """.strip().splitlines())}

@@ -17,10 +17,10 @@ PUBLIC = {
     words: "Alphabet ParseError Word bracket_word commutator "
            "exponent_sums generator identity inverse multiply omega "
            "omega_bracket parse_word",
-    stallings: "INFINITE InfiniteIndexError NotInSubgroupError SchreierBasis "
-               "SubgroupGraph Transversal build_graph contains evaluate "
-               "from_json in_derived_subgroup index is_normal kernel_graph "
-               "rewrite schreier_basis schreier_transversal",
+    stallings: "INFINITE NotInSubgroupError SchreierBasis SubgroupGraph "
+               "Transversal build_graph contains evaluate from_json "
+               "in_derived_subgroup index is_normal kernel_graph rewrite "
+               "schreier_basis schreier_transversal",
     magnus: "IDENTITY AtLeast NoncommSeries bracket_expand coefficient in_lcs "
             "lcs_weight magnus_expand series_mul series_one series_weight "
             "structural_weight weight_to_json",

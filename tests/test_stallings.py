@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fglab import stallings
@@ -509,8 +509,6 @@ class TestFoldOracle:
 
         def outputs(gens):
             g = build_graph(gens, alphabet)
-            if index(g) is INFINITE:
-                return INFINITE, contains(g, element)
             t = schreier_transversal(g, preferred=preferred)
             b = schreier_basis(g, t)
             return (index(g), is_normal(g),
@@ -676,9 +674,28 @@ class TestNormality:
         rose = build_graph([parse_word("x", XY), parse_word("y", XY)], XY)
         assert is_normal(rose)
 
-    def test_infinite_index_unsupported(self):
-        with pytest.raises(ValueError):
-            is_normal(build_graph([parse_word("x", XY)], XY))
+    # trivial; an x-loop with no y-edge; a base of degree 1; a base with
+    # no outgoing edge; a y-edge leaving the base but none entering it
+    @pytest.mark.parametrize("gens, normal", [
+        ([], True), (["x"], False), (["x y x^-1"], False), (["x^-1 y"], False),
+        (["x", "y x y^-1"], False)])
+    def test_infinite_index(self, gens, normal):
+        g = build_graph([parse_word(t, XY) for t in gens], XY)
+        assert index(g) is INFINITE
+        assert is_normal(g) is normal
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(generator_lists(), folding_generator_lists()))
+    @example((RANKS[2], []))
+    @example((RANKS[2], [Word(RANKS[2], [1]), Word(RANKS[2], [2])]))
+    def test_normal_iff_conjugates_of_generators_lie_inside(self, case):
+        alphabet, gens = case
+        g = build_graph(gens, alphabet)
+        letters = [Word(alphabet, [s * c]) for c in range(1, len(alphabet) + 1)
+                   for s in (1, -1)]
+        assert is_normal(g) == all(
+            contains(g, multiply(multiply(x, h), inverse(x)))
+            for h in gens for x in letters)
 
 
 class TestKernelGraph:
@@ -734,9 +751,14 @@ class TestTransversal:
         for v, rep in enumerate(reps(t)):
             assert g.trace(rep) == v
 
-    def test_infinite_index_rejected(self):
-        with pytest.raises(ValueError):
-            schreier_transversal(build_graph([parse_word("x", XY)], XY))
+    def test_infinite_index_spanning_tree(self):
+        # an a-loop at the base and at the end of its b-edge; no b-edge
+        # leaves vertex 1
+        g = build_graph([parse_word(t, AB) for t in ("a", "b a b^-1")], AB)
+        t = schreier_transversal(g)
+        assert [str(r) for r in reps(t)] == ["", "b"]
+        assert [str(w) for w in basis_words(schreier_basis(g, t))] == [
+            "a", "b a b^-1"]
 
 
 class TestSchreierBasis:
@@ -785,6 +807,15 @@ class TestRewrite:
         g, t, b = kernel_machinery(3)
         with pytest.raises(NotInSubgroupError):
             rewrite(g, t, b, parse_word("x", XY))
+
+    # <x^2> has no y-edge: the path breaks at the first, a middle and the
+    # last letter
+    @pytest.mark.parametrize("text", ["y", "x y x^-1", "x^2 y"])
+    def test_path_that_leaves_the_graph(self, text):
+        g = build_graph([parse_word("x^2", XY)], XY)
+        t = schreier_transversal(g)
+        with pytest.raises(NotInSubgroupError):
+            rewrite(g, t, schreier_basis(g, t), parse_word(text, XY))
 
     @pytest.mark.parametrize("call, message", [
         (lambda g, t, b: build_graph([parse_word("a", AB)], XY), "not over"),
@@ -846,6 +877,35 @@ class TestDerivedSubgroup:
                 u = random_kernel_element(rng, d, 20)
                 v = random_kernel_element(rng, d, 20)
                 assert in_derived_subgroup(g, t, b, commutator(u, v))
+
+
+class TestInfiniteIndex:
+    """Bases, rewriting and [G, G] membership on core graphs that do not
+    cover the rose."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_lists(), st.data())
+    def test_basis_rewrite_and_derived_subgroup(self, case, data):
+        alphabet, gens = case
+        g = build_graph(gens, alphabet)
+        assume(index(g) is INFINITE)
+        t = schreier_transversal(
+            g, preferred=data.draw(st.sampled_from((None,) + alphabet.names)))
+        b = schreier_basis(g, t)
+        assert len(b.edges) == len(g.edges()) - g.n_vertices + 1
+        assert all(contains(g, w) for w in basis_words(b))
+
+        def element():
+            w = identity(alphabet)
+            for h in data.draw(st.lists(st.sampled_from(gens), max_size=4)
+                               if gens else st.just([])):
+                w = multiply(w, inverse(h) if data.draw(st.booleans()) else h)
+            return w
+
+        u, v, w = element(), element(), element()
+        assert evaluate(b, rewrite(g, t, b, u)) == u
+        assert in_derived_subgroup(
+            g, t, b, multiply(commutator(u, v), commutator(w, inverse(u))))
 
 
 class TestJson:
