@@ -25,8 +25,8 @@ RECURRENCE_N_CAP = 8
 # witness spells, rewrites and walks the 2^m + 2 letters of omega_(m-2), so
 # a run doubles per step in m (about 1.5 s at m = 20 on 2 vCPUs)
 MAX_WITNESS_M = 20
-# verify's char_poly check costs about d^2 (d + 1 sparse determinants), so a
-# battery up to d_max costs about d_max^3 (about 14 s at 200 on 2 vCPUs)
+# a verify battery up to d_max costs about d_max^3, mostly eigen_check's d^2
+# entries per d (char_poly is one determinant per d): 1.4 s at 200 on 2 vCPUs
 MAX_VERIFY_D = 200
 
 

@@ -9,17 +9,18 @@ central term of F lands inside [G, G]:
 * exponent-sum vectors of the witness words through actual rewriting,
   cross-checked by counting y letters per x-residue,
 * the d x d integer transition matrix, read as its 2d nonzero entries:
-  the chain v_(n+1) = A v_n, its characteristic polynomial (determinants
-  at d + 1 points) and eigenpairs (exact in Q[t]/(t^d - 1)),
+  the chain v_(n+1) = A v_n, its characteristic polynomial (one determinant
+  past the coefficient bound) and eigenpairs (exact in Q[t]/(t^d - 1)),
 * a proof that A^n v_0 != 0 for every n, from the kernel of A,
 * witness certificates: explicit words in F_m \\ [G, G].
 
 All arithmetic is exact: Python integers and the cyclotomic ring above.
 """
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
+from math import prod
 
 from . import stallings, words
 from .words import (XY, commutator, exponent_sums, format_runs, generator,
@@ -157,12 +158,7 @@ def verify_recurrence(spec, n_max):
     return {"d": spec.d, "n_max": n_max, "checked": n_max + 1, "ok": True}
 
 
-# -- characteristic polynomial, by exact determinants ------------------------
-
-def _det(m):
-    """Exact determinant of a square integer matrix (a list of rows)."""
-    return _sparse_det(_rows(m))
-
+# -- characteristic polynomial, by one exact determinant ---------------------
 
 def _sparse_det(rows):
     """Exact determinant of a square matrix of {column: value} rows.
@@ -203,17 +199,27 @@ def _sparse_det(rows):
     return det // scale
 
 
+def _past_coefficients(rows):
+    """B = 2^(d+1) (H + 1) + 1 with H = prod_i max(1, sum_j |M_ij|), M d x d."""
+    h = prod(max(1, sum(map(abs, row.values()))) for row in rows)
+    return 2 ** (len(rows) + 1) * (h + 1) + 1
+
+
 def char_poly_check(d):
     """det(A - lambda I) = (1 - lambda)^d - 1, as polynomials in lambda.
 
-    Both sides have degree at most d, so agreeing at the d + 1 points
-    lambda = 0, ..., d proves them equal (on A's nonzeros, shifted).
+    One determinant, at lambda = B = ``_past_coefficients(A)``, proves it
+    (Kronecker substitution).  Coefficient k of det(A - lambda I) is +- the
+    sum of the C(d, k) principal minors of size d - k, each at most H by
+    Hadamard's inequality (||row||_2 <= ||row||_1); that of (1 - lambda)^d - 1
+    is at most C(d, k) <= 2^d.  So the difference R has |r_k| <= 2^d (H + 1)
+    < B / 2, and R(B) = 0 forces R = 0: its top term would outweigh the rest.
+    At lambda = B every pivot but the last is a -1 of the subdiagonal.
     """
     a = _rows(transition_matrix(d))
-    return all(
-        _sparse_det([{**row, i: row.get(i, 0) - lam} for i, row in enumerate(a)])
-        == (1 - lam) ** d - 1
-        for lam in range(d + 1))
+    b = _past_coefficients(a)
+    return _sparse_det([{**row, i: row.get(i, 0) - b}
+                        for i, row in enumerate(a)]) == (1 - b) ** d - 1
 
 
 # -- eigenpairs, exact in Q[t]/(t^d - 1) -------------------------------------
@@ -264,11 +270,13 @@ def nonvanishing_check(d):
     ker A meets Z only in 0, so A is injective on Z.  v_0 is a nonzero
     vector of Z, hence by induction so is every A^n v_0.
     """
-    a = transition_matrix(d)
-    v = start_vector(d)
-    return (all(sum(col) == 0 for col in zip(*a))
-            and all(sum(row) == 0 for row in a)
-            and _det([row[:-1] for row in a[:-1]]) != 0
+    a, v, columns = _rows(transition_matrix(d)), start_vector(d), Counter()
+    for row in a:
+        columns.update(row)
+    return (not any(columns.values())
+            and not any(sum(row.values()) for row in a)
+            and _sparse_det([{j: x for j, x in row.items() if j < d - 1}
+                             for row in a[:-1]]) != 0
             and sum(v) == 0 and any(v))
 
 

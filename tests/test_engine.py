@@ -5,11 +5,11 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fglab import engine, magnus, stallings
-from fglab.cli import main
+from fglab.cli import MAX_VERIFY_D, main
 from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
                           char_poly_check, conjugation_table, eigen_check,
                           iterate, nonvanishing_check, p_vector, path_counts,
@@ -188,8 +188,9 @@ def fraction_det(m):
             det = -det
         det *= a[k][k]
         for i in range(k + 1, len(a)):
-            ratio = a[i][k] / a[k][k]
-            a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+            if a[i][k]:
+                ratio = a[i][k] / a[k][k]
+                a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
     return det
 
 
@@ -242,6 +243,11 @@ def sparse_matrices(draw):
 square_matrices = st.one_of(dense_matrices(), banded_matrices())
 
 
+def det(m):
+    """The engine's determinant of a list of rows."""
+    return engine._sparse_det(engine._rows(m))
+
+
 def permutation_sign(p):
     """Oracle: (-1) to the number of inversions."""
     return (-1) ** sum(a > b for a, b in combinations(p, 2))
@@ -250,33 +256,90 @@ def permutation_sign(p):
 class TestDeterminant:
     @given(square_matrices)
     def test_matches_rational_elimination(self, m):
-        assert engine._det(m) == fraction_det(m)
+        assert det(m) == fraction_det(m)
 
     def test_zero_leading_pivot(self):
-        assert engine._det([[0, 1], [1, 0]]) == -1
-        assert engine._det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
 
     @pytest.mark.parametrize("size", range(1, 6))
     def test_permutation_matrices(self, size):
         # every pivot is 1, so the sign comes from the pivot order alone
         for p in permutations(range(size)):
             m = [[int(j == p[i]) for j in range(size)] for i in range(size)]
-            assert engine._det(m) == permutation_sign(p)
+            assert det(m) == permutation_sign(p)
 
     @settings(deadline=None)
     @given(sparse_matrices())
     def test_sparse_matches_rational_elimination(self, m):
-        assert engine._det(m) == fraction_det(m)
+        assert det(m) == fraction_det(m)
+
+
+def interpolate(values):
+    """Oracle: coefficients, lowest first, of the polynomial of degree
+    < len(values) that takes values[k] at k, by Lagrange's formula."""
+    n, coefficients = len(values), [Fraction(0)] * len(values)
+    for i, y in enumerate(values):
+        basis, scale = [1], 1
+        for j in range(n):
+            if j != i:   # basis *= (lambda - j)
+                basis = [a - j * b for a, b in zip([0] + basis, basis + [0])]
+                scale *= i - j
+        for k, c in enumerate(basis):
+            coefficients[k] += Fraction(y * c, scale)
+    return coefficients
+
+
+def balanced_digits(value, base):
+    """Digits r_k with |r_k| <= base / 2 and value = sum r_k base^k."""
+    digits = []
+    while value:
+        r = value % base
+        r -= base if 2 * r > base else 0
+        digits.append(r)
+        value = (value - r) // base
+    return digits
+
+
+def shifted(m, lam):
+    """M - lambda I, as a list of rows."""
+    return [[x - lam * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(m)]
 
 
 class TestCharPoly:
-    @pytest.mark.parametrize("d", range(2, 25))
+    @pytest.mark.parametrize("d", [*range(2, 25), 60, MAX_VERIFY_D])
     def test_matches_closed_form(self, d):
         assert char_poly_check(d)
 
     def test_perturbed_matrix_fails(self, monkeypatch):
         perturb_matrix(monkeypatch)
         assert not char_poly_check(5)
+
+    def test_agreement_inside_the_old_range_fails(self, monkeypatch):
+        # C is the companion matrix of lambda^5 - 6 lambda^4 + 16 lambda^3
+        # - 21 lambda^2 + 11 lambda, so det(C - lambda I) = (1 - lambda)^5 - 1
+        # + lambda (lambda - 1) (lambda - 2) (lambda - 3): the d + 1 = 6 points
+        # 0..5 would catch it, but any point in 0..3 would not
+        c = ((0, 0, 0, 0, 0), (1, 0, 0, 0, -11), (0, 1, 0, 0, 21),
+             (0, 0, 1, 0, -16), (0, 0, 0, 1, 6))
+        monkeypatch.setattr(engine, "transition_matrix", lambda d: c)
+        for lam in range(6):
+            agrees = fraction_det(shifted(c, lam)) == (1 - lam) ** 5 - 1
+            assert agrees == (lam <= 3)
+        assert not char_poly_check(5)
+
+    @settings(deadline=None)
+    @given(st.one_of(square_matrices, sparse_matrices()))
+    @example([[0, -1], [0, 5]])
+    def test_digits_at_the_point_are_the_coefficients(self, m):
+        # Kronecker substitution: the balanced base-B digits of
+        # det(M - B I) are the coefficients of det(M - lambda I)
+        point = engine._past_coefficients(engine._rows(m))
+        assert point >= 3   # below 3, balanced digits never end
+        coefficients = interpolate(
+            [fraction_det(shifted(m, lam)) for lam in range(len(m) + 1)])
+        assert balanced_digits(det(shifted(m, point)), point) == coefficients
 
 
 class TestEigen:
