@@ -23,10 +23,10 @@ DEFAULT_D_MAX = 12
 # with n; the other checks hold for every n
 RECURRENCE_N_CAP = 8
 # witness spells, rewrites and walks the 2^m + 2 letters of omega_(m-2), so
-# a run doubles per step in m (about 1.5 s at m = 20 on 2 vCPUs)
+# a run doubles per step in m (1.0-1.5 s at m = 20 on 2 vCPUs)
 MAX_WITNESS_M = 20
-# a verify battery up to d_max costs about d_max^3, mostly eigen_check's d^2
-# entries per d (char_poly is one determinant per d): 1.4 s at 200 on 2 vCPUs
+# a verify battery up to d_max grows fastest in char_poly's big-integer
+# determinant per d (the rest is about d_max^2): 0.8-0.9 s at 200 on 2 vCPUs
 MAX_VERIFY_D = 200
 
 

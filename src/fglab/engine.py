@@ -224,37 +224,31 @@ def char_poly_check(d):
 
 # -- eigenpairs, exact in Q[t]/(t^d - 1) -------------------------------------
 
-class EigenPair(namedtuple("EigenPair", "j eigenvalue eigenvector ok")):
-    """Verified eigenpair of A over Q[t]/(t^d - 1), with t for zeta."""
+class EigenPair(namedtuple("EigenPair", "j ok")):
+    """Eigenpair j of A over Q[t]/(t^d - 1), t for zeta, and whether it holds:
+    the eigenvalue 1 - t^j with the eigenvector x_j[k] = t^(-kj), k = 0..d-1."""
     __slots__ = ()
 
 
 def eigen_check(d):
-    """Verify A x_j = (1 - t^j) x_j componentwise, exactly, for j = 1..d.
+    """Verify A x_j = (1 - t^j) x_j exactly in Q[t]/(t^d - 1), for j = 1..d.
 
-    Elements of Q[t]/(t^d - 1) are length-d coefficient tuples.  x_j has
-    components t^(-kj) down the column (so the first entry is 1); the d
-    monomial tuples are built once and shared by every pair.  Over the unit
-    x_j[i] = t^(-ij), row i is sum_k A[i][k] t^((i - k) j) - 1 + t^j = 0: one
-    sum over nonzeros per j for each distinct row of offsets (i - k) mod d.
-    Raises if any identity fails.  A cross-check: ``nonvanishing_check``
-    proves A^n v_0 != 0 from ker A alone.
+    Over the unit x_j[i] = t^(-ij), row i reads sum_k A[i][k] t^((i - k) j)
+    - 1 + t^j = 0: one sparse residue sum per j for each distinct row of
+    offsets (i - k) mod d.  Raises if any identity fails.  A cross-check:
+    ``nonvanishing_check`` proves A^n v_0 != 0 from ker A alone.
     """
     shapes = {frozenset(((i - k) % d, x) for k, x in row.items())
               for i, row in enumerate(_rows(transition_matrix(d)))}
-    monomials = [(0,) * k + (1,) + (0,) * (d - 1 - k) for k in range(d)]
     pairs = []
     for j in range(1, d + 1):
-        eigenvalue = tuple(o - m for o, m in zip(monomials[0], monomials[j % d]))
-        vector = tuple(monomials[-k * j % d] for k in range(d))
         ok = True
         for shape in shapes:
             residue = {}
             for offset, x in (*shape, (0, -1), (1, 1)):
                 residue[offset * j % d] = residue.get(offset * j % d, 0) + x
             ok = ok and not any(residue.values())
-        pairs.append(EigenPair(j=j, eigenvalue=eigenvalue,
-                               eigenvector=vector, ok=ok))
+        pairs.append(EigenPair(j=j, ok=ok))
     if not all(p.ok for p in pairs):
         bad = [p.j for p in pairs if not p.ok]
         raise VerificationError("eigen identities failed for d=%d, j=%r" % (d, bad))
@@ -285,9 +279,12 @@ def path_counts(d, w):
 
     An independent route to ``basis_exponents`` that builds no graph: a y
     letter read at residue r adds its sign to P_(r+1), and an x step across
-    d - 1 -> 0 adds its sign to the a-sum.  Raises VerificationError if the
-    walk does not end at residue 0, i.e. if w is not in the kernel.
+    d - 1 -> 0 adds its sign to the a-sum.  Raises ValueError unless w's
+    alphabet is {x, y}, and VerificationError if the walk does not end at
+    residue 0, i.e. if w is not in the kernel.
     """
+    if set(w.alphabet) != {"x", "y"}:
+        raise ValueError("alphabet mismatch: path_counts walks words over {x, y}")
     x = w.alphabet.index("x") + 1
     a_sum, counts, residue = 0, [0] * d, 0
     for c in w.letters:

@@ -14,8 +14,8 @@ from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
                           char_poly_check, conjugation_table, eigen_check,
                           iterate, nonvanishing_check, p_vector, path_counts,
                           transition_matrix, verify_recurrence, witness)
-from fglab.words import (XY, Word, bracket_word, commutator, generator,
-                         inverse, omega, omega_bracket, parse_word)
+from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
+                         generator, inverse, omega, omega_bracket, parse_word)
 
 
 class TestCanonicalBasis:
@@ -342,25 +342,64 @@ class TestCharPoly:
         assert balanced_digits(det(shifted(m, point)), point) == coefficients
 
 
+def ring_monomial(d, e):
+    """t^e in Z[t]/(t^d - 1), as its d dense coefficients."""
+    out = [0] * d
+    out[e % d] = 1
+    return out
+
+
+def ring_mul(d, p, q):
+    """The product of two dense elements of Z[t]/(t^d - 1)."""
+    out = [0] * d
+    for a, pa in enumerate(p):
+        for b, qb in enumerate(q):
+            out[(a + b) % d] += pa * qb
+    return out
+
+
+def is_eigenpair(d, value, vector):
+    """Oracle: A vector = value vector in Z[t]/(t^d - 1), densely, entry by entry."""
+    for row, x in zip(transition_matrix(d), vector):
+        left = [sum(a * y[c] for a, y in zip(row, vector)) for c in range(d)]
+        if left != ring_mul(d, value, x):
+            return False
+    return True
+
+
+def eigenpair(d, j, sign=-1):
+    """1 - t^j and the vector with entries t^(sign k j), k = 0..d-1."""
+    one, t_j = ring_monomial(d, 0), ring_monomial(d, j)
+    return ([o - t for o, t in zip(one, t_j)],
+            [ring_monomial(d, sign * k * j) for k in range(d)])
+
+
 class TestEigen:
     @pytest.mark.parametrize("d", range(2, 13))
     def test_all_pairs_verify(self, d):
         pairs = eigen_check(d)
         assert len(pairs) == d and all(p.ok for p in pairs)
 
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_dense_oracle_confirms_every_pair(self, d):
+        # the pair eigen_check's j stands for, as EigenPair documents it
+        assert [p.j for p in eigen_check(d)] == list(range(1, d + 1))
+        for j in range(1, d + 1):
+            assert is_eigenpair(d, *eigenpair(d, j))
+
+    def test_dense_oracle_rejects_the_conjugate_vector(self):
+        # x_j[k] = t^(kj) is an eigenvector for 1 - t^-j, not for 1 - t^j
+        assert not is_eigenpair(5, *eigenpair(5, 1, sign=1))
+
     def test_last_eigenvalue_is_zero(self):
+        # j = d: the value 1 - t^d is 0 and x_d is all ones, so A 1 = 0
         for d in (3, 5, 8):
-            pairs = eigen_check(d)
-            assert pairs[-1].j == d
-            assert pairs[-1].eigenvalue == (0,) * d
+            assert eigen_check(d)[-1].j == d
+            assert is_eigenpair(d, [0] * d, [ring_monomial(d, 0)] * d)
 
-    def test_d3_kernel_vector_is_all_ones(self):
-        pairs = eigen_check(3)
-        assert pairs[-1].eigenvector == ((1, 0, 0),) * 3
-
-    def test_memory_stays_quadratic(self):
-        # the pairs share the d monomial tuples, so the peak holds about d^2
-        # entries; a fresh tuple per eigenvector component would hold d^3
+    def test_memory_stays_linear(self):
+        # a sparse residue dict per j and offset shape: the peak stays far
+        # below d^2 entries, and the result keeps only (j, ok) per pair
         tracemalloc.start()
         try:
             eigen_check(100)
@@ -368,6 +407,13 @@ class TestEigen:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 1024 * 1024
+        tracemalloc.start()
+        try:
+            pairs = eigen_check(MAX_VERIFY_D)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == MAX_VERIFY_D and kept < 64 * 1024
 
     def test_perturbed_matrix_fails(self, monkeypatch):
         # the extra entry adds t^0 to row 2 of A x_j, for every j
@@ -431,6 +477,18 @@ class TestPathCounts:
     def test_rejects_non_kernel_words(self):
         with pytest.raises(VerificationError):
             path_counts(3, parse_word("x y", XY))
+
+    @pytest.mark.parametrize("text", ["z", "z x z^-1 x^-1"])
+    def test_rejects_other_alphabets(self, text):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            path_counts(3, parse_word(text, Alphabet(("x", "y", "z"))))
+
+    def test_counts_over_y_x(self):
+        yx = Alphabet(("y", "x"))
+        for text in ("x^3 y x^-3", "x^-1 y x", "y x y^-1 x^-1", "x^-3 y"):
+            assert path_counts(3, parse_word(text, yx)) == \
+                path_counts(3, parse_word(text, XY))
+        assert path_counts(3, parse_word("x^-1 y x", yx)) == (0, (0, 0, 1))
 
 
 def flip_second_letter(w):
