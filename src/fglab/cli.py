@@ -85,6 +85,8 @@ def _load_subgroup(path):
                          % (path, exc)) from None
     except ValueError as exc:
         raise ValueError("%s: %s" % (path, exc)) from None
+    except RecursionError:
+        raise ValueError("%s: JSON nested too deeply" % path) from None
     preferred = None
     if "kernel" in desc:
         d, f = desc["kernel"]["d"], desc["kernel"]["f"]

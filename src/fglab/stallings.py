@@ -10,7 +10,7 @@ Graphs are immutable after construction; every query is pure.
 
 import math
 from collections import namedtuple
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, repeat, starmap
 
 from .words import Alphabet, Word, _word, exponent_sums, inverse, parse_words
 
@@ -100,25 +100,6 @@ class SubgroupGraph:
     def __repr__(self):
         return "SubgroupGraph(%d vertices, %d edges over %r)" % (
             self.n_vertices, len(self.edges()), list(self.alphabet))
-
-
-def _bfs(steps, codes, tree=None):
-    """Breadth-first search over the edges ``steps[c]``, c in ``codes``.
-
-    ``tree`` maps each vertex reached to the code of the edge it was first
-    reached along, 0 for a start vertex, in order of discovery.  The search
-    starts from the vertices of the ``tree`` given, in its order, or from
-    vertex 0, and returns the tree extended to every vertex it reaches.
-    """
-    tree = {0: 0} if tree is None else dict(tree)
-    queue = list(tree)
-    for v in queue:
-        for c in codes:
-            w = steps[c][v]
-            if w is not None and w not in tree:
-                tree[w] = c
-                queue.append(w)
-    return tree
 
 
 def build_graph(generators, alphabet):
@@ -296,10 +277,11 @@ class Transversal(namedtuple("Transversal", "graph tree order start k preferred"
 
     tree[v] is the signed code of the tree edge entering v, 0 at the base:
     the c-edge v -> w is a tree edge iff tree[w] == c or tree[v] == -c.
-    order lists vertices in BFS discovery order.  start[v] and k[v] point
-    back along the last run of equal codes on v's tree path: it has k[v]
-    letters tree[v] and begins at vertex start[v] (both 0 at the base).
-    preferred records the generator whose edges were explored first, if any.
+    order lists vertices in BFS discovery order, each after its tree parent.
+    start[v] and k[v] point back along the last run of equal codes on v's
+    tree path: it has k[v] letters tree[v] and begins at vertex start[v]
+    (both 0 at the base).  preferred records the generator whose forward
+    edges were explored first, if any.
     """
     __slots__ = ()
 
@@ -320,32 +302,33 @@ class Transversal(namedtuple("Transversal", "graph tree order start k preferred"
 
 
 def schreier_transversal(graph, preferred=None):
-    """BFS spanning tree of a core graph.
+    """BFS spanning tree of a core graph, in one pass.
 
-    When ``preferred`` names a generator, a first pass follows only its
+    When ``preferred`` names a generator, a first phase follows only its
     forward edges, so a kernel graph with f(preferred)=1 gets the
-    representatives 1, x, x^2, ..., x^(d-1); the remaining vertices are
-    then reached by ordinary BFS (preferred generator first, forward
-    before backward edges).
+    representatives 1, x, x^2, ..., x^(d-1); a second phase reads ``order``
+    again from the base and follows all edges (preferred generator first,
+    forward before backward).  A vertex gets its tree code and run pointers
+    when first reached, from its parent's, which are final by then.
     """
-    alphabet = graph.alphabet
-    gen_order, tree = range(len(alphabet)), None
+    alphabet, steps, n = graph.alphabet, graph.steps, graph.n_vertices
+    gen_order, phases = range(len(alphabet)), []
     if preferred is not None:
         p = alphabet.index(preferred)
         gen_order = [p] + [g for g in gen_order if g != p]
-        tree = _bfs(graph.steps, [p + 1])
-    tree = _bfs(graph.steps, [s * (g + 1) for g in gen_order for s in (1, -1)],
-                tree)
-    # a vertex's tree parent comes before it in BFS order, so its pointers
-    # are set first; the run goes on where the parent's code repeats
-    steps, n = graph.steps, graph.n_vertices
-    start, k = [0] * n, [0] * n
-    for w, c in islice(tree.items(), 1, None):
-        p = steps[-c][w]
-        start[w], k[w] = (start[p], k[p] + 1) if tree[p] == c else (p, 1)
-    return Transversal(graph=graph, tree=tuple(map(tree.__getitem__, range(n))),
-                       order=tuple(tree), start=tuple(start), k=tuple(k),
-                       preferred=preferred)
+        phases.append([p + 1])
+    phases.append([s * (g + 1) for g in gen_order for s in (1, -1)])
+    tree, start, k, order = [0] + [None] * (n - 1), [0] * n, [0] * n, [0]
+    for codes in phases:
+        for v in order:                  # grows while it is read
+            for c in codes:
+                w = steps[c][v]
+                if w is not None and tree[w] is None:
+                    tree[w] = c
+                    start[w], k[w] = (start[v], k[v] + 1) if tree[v] == c else (v, 1)
+                    order.append(w)
+    return Transversal(graph=graph, tree=tuple(tree), order=tuple(order),
+                       start=tuple(start), k=tuple(k), preferred=preferred)
 
 
 class SchreierBasis(namedtuple("SchreierBasis", "alphabet transversal edges")):

@@ -172,6 +172,14 @@ class TestSubgroup:
         assert main(["subgroup", "index", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: %s: " % path)
 
+    def test_deeply_nested_file_exit_2(self, capsys, tmp_path):
+        # json.load raises RecursionError here, not ValueError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["subgroup", "index", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: JSON nested too deeply\n" % path)
+
     @pytest.mark.parametrize("desc", [
         '{"alphabet": ["x", "y"]}',
         '{"alphabet": ["x", "y"], "generators": ["x"], '

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 
@@ -491,7 +492,7 @@ class TestFoldOracle:
         def search(*args):
             raise AssertionError("build_graph searched its graph")
 
-        monkeypatch.setattr(stallings, "_bfs", search)
+        monkeypatch.setattr(stallings, "schreier_transversal", search)
         assert build_graph(long_random_words(), ABC).n_vertices > 40_000
 
     @settings(max_examples=200, deadline=None)
@@ -545,7 +546,70 @@ def run_mismatches(t, b):
     return bad
 
 
+def reference_bfs(steps, codes, tree=None):
+    """Breadth-first search over ``steps[c]``, c in ``codes``, from the
+    vertices of ``tree`` in its order, or from vertex 0; returns ``tree``,
+    which maps each vertex to the code it was first reached along, extended
+    to every vertex reached."""
+    tree = {0: 0} if tree is None else dict(tree)
+    queue = list(tree)
+    for v in queue:                      # grows while it is read
+        for c in codes:
+            w = steps[c][v]
+            if w is not None and w not in tree:
+                tree[w] = c
+                queue.append(w)
+    return tree
+
+
+def reference_transversal(g, preferred=None):
+    """The transversal in three passes: a search along the preferred
+    generator's forward edges, a second that continues it over all codes
+    (preferred generator first, forward before backward), then the run
+    pointers from the finished tree."""
+    gen_order, tree = range(len(g.alphabet)), None
+    if preferred is not None:
+        p = g.alphabet.index(preferred)
+        gen_order = [p] + [i for i in gen_order if i != p]
+        tree = reference_bfs(g.steps, [p + 1])
+    tree = reference_bfs(
+        g.steps, [s * (i + 1) for i in gen_order for s in (1, -1)], tree)
+    n = g.n_vertices
+    start, k = [0] * n, [0] * n
+    for w, c in list(tree.items())[1:]:
+        p = g.steps[-c][w]
+        start[w], k[w] = (start[p], k[p] + 1) if tree[p] == c else (p, 1)
+    return stallings.Transversal(
+        graph=g, tree=tuple(tree[v] for v in range(n)), order=tuple(tree),
+        start=tuple(start), k=tuple(k), preferred=preferred)
+
+
+@st.composite
+def kernel_graphs(draw):
+    """Kernel graphs of maps onto Z_d, d <= 40, over x, y or a, b, c."""
+    alphabet = draw(st.sampled_from((XY, RANKS[3])))
+    d = draw(st.integers(2, 40))
+    f = {name: draw(st.integers(0, d - 1)) for name in alphabet}
+    assume(math.gcd(d, *f.values()) == 1)
+    return kernel_graph(f, d, alphabet)
+
+
+def one_pass_mismatches(g):
+    """The preferred generators, None among them, whose transversal
+    differs from the three-pass reference in some field."""
+    return [p for p in (None,) + g.alphabet.names
+            if schreier_transversal(g, p) != reference_transversal(g, p)]
+
+
 class TestTransversalProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        folding_generator_lists().map(lambda case: build_graph(case[1], case[0])),
+        transitive_actions().map(lambda case: stabilizer_graph(*case)[0]),
+        kernel_graphs()))
+    def test_one_pass_matches_the_reference(self, g):
+        assert one_pass_mismatches(g) == []
+
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(transitive_actions(), regular_actions()), st.data())
     def test_runs_spell_the_tree_walk(self, action, data):
