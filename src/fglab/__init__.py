@@ -16,9 +16,9 @@ _HOME = {name: layer for layer, names in {
              "exponent_sums generator identity inverse multiply omega "
              "omega_bracket parse_word",
     "stallings": "INFINITE NotInSubgroupError SchreierBasis SubgroupGraph "
-                 "Transversal build_graph contains evaluate from_json "
-                 "in_derived_subgroup index is_normal kernel_graph rewrite "
-                 "schreier_basis schreier_transversal",
+                 "Transversal bracket_exponents build_graph contains evaluate "
+                 "from_json in_derived_subgroup index is_normal kernel_graph "
+                 "rewrite schreier_basis schreier_transversal",
     "magnus": "IDENTITY AtLeast NoncommSeries bracket_expand coefficient in_lcs "
               "lcs_weight magnus_expand series_mul series_one series_weight "
               "structural_weight weight_to_json",

@@ -6,8 +6,8 @@ central term of F lands inside [G, G]:
 
 * the canonical Schreier basis (a, b_1, ..., b_d) and its conjugation
   relations under x,
-* exponent-sum vectors of the witness words through actual rewriting,
-  cross-checked by counting y letters per x-residue,
+* exponent sums of the witness words by Schreier rewriting (of their node
+  lists, in the recurrence) and by counting y letters per x-residue,
 * the d x d integer transition matrix, read as its 2d nonzero entries:
   the chain v_(n+1) = A v_n, its characteristic polynomial (one determinant
   past the coefficient bound) and eigenpairs (exact in Q[t]/(t^d - 1)),
@@ -19,12 +19,12 @@ All arithmetic is exact: Python integers and the cyclotomic ring above.
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import compress
 from math import prod
 
 from . import stallings, words
-from .words import (XY, commutator, exponent_sums, format_runs, generator,
-                    inverse, multiply, omega, omega_bracket)
+from .words import (XY, exponent_sums, format_runs, generator, inverse,
+                    multiply, omega, omega_bracket)
 
 
 class VerificationError(RuntimeError):
@@ -116,7 +116,7 @@ def _rows(m):
 
 
 def _apply(rows, v):
-    return tuple(sum(x * v[k] for k, x in row.items()) for row in rows)
+    return tuple([sum([x * v[k] for k, x in row.items()]) for row in rows])
 
 
 def _mat_vec(m, v):
@@ -136,21 +136,21 @@ def iterate(d, n):
 def verify_recurrence(spec, n_max):
     """Check P-vectors from rewriting against the chain A^n v_0 for n <= n_max.
 
-    The left side rewrites omega_n, one commutator [omega_(n-1), x] per n,
-    through the Schreier graph; the right side is one step v <- A v per n.
-    Also checks that the a-exponent of every witness word vanishes.
+    The left side reads every omega_n, node n + 2 of ``omega_bracket(n_max)``,
+    off one ``stallings.bracket_exponents`` call, spelling no word; the right
+    side is one step v <- A v per n.  Each omega_n must be a loop with a-sum 0.
     """
     if n_max < 1 or 2 ** min(n_max + 2, 64) + 2 > words.MAX_WORD_LETTERS:
-        raise ValueError("n_max must be >= 1, and omega_n_max within MAX_WORD_LETTERS")
+        raise ValueError("n_max must be >= 1, and at most 23 so that every omega_n "
+                         "checked can still be spelled and checked flat")
+    graph, _, basis = _machinery(spec.d)
     rows, matrix_side = _rows(transition_matrix(spec.d)), start_vector(spec.d)
-    chain = accumulate(repeat(generator(XY, "x"), n_max), commutator,
-                       initial=omega(0))
-    for n, word in enumerate(chain):
-        a_sum, rewritten = basis_exponents(spec, word)
-        if rewritten != matrix_side:
+    nodes = stallings.bracket_exponents(graph, basis, omega_bracket(n_max))
+    for n, (end, (a_sum, *rewritten)) in enumerate(nodes[2:]):
+        if (end, *rewritten) != (0, *matrix_side):
             raise VerificationError(
-                "d=%d n=%d: rewriting gave %r, matrix gave %r"
-                % (spec.d, n, rewritten, matrix_side))
+                "d=%d n=%d: rewriting gave %r at vertex %d, matrix gave %r"
+                % (spec.d, n, tuple(rewritten), end, matrix_side))
         if a_sum != 0:
             raise VerificationError(
                 "d=%d n=%d: nonzero a-exponent %d" % (spec.d, n, a_sum))

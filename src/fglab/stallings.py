@@ -12,7 +12,8 @@ import math
 from collections import namedtuple
 from itertools import chain, repeat, starmap
 
-from .words import Alphabet, Word, _word, exponent_sums, inverse, parse_words
+from .words import (Alphabet, Word, _fold_nodes, _word, exponent_sums, inverse,
+                    parse_words)
 
 #: Distinguished return value of :func:`index` for infinite-index subgroups.
 INFINITE = math.inf
@@ -390,27 +391,28 @@ def schreier_basis(graph, transversal):
                          edges=tuple(ordered))
 
 
+def _emits(graph, basis):
+    """``emits[c][v]``: the signed basis letter the c-edge at v emits, or 0."""
+    emits = [[0] * graph.n_vertices for _ in graph.steps]
+    for i, (u, g) in enumerate(basis.edges):   # +letter along the edge, - back
+        emits[g + 1][u], emits[-g - 1][graph.steps[g + 1][u]] = i + 1, -i - 1
+    return emits
+
+
 def rewrite(graph, transversal, basis, w):
     """Rewrite a subgroup element in the Schreier basis.
 
     Traces w from base; every non-tree edge crossed emits its basis letter,
     signed by crossing direction.  Substituting the basis words back and
-    reducing in F recovers w exactly.  The walk reads ``emits[c][v]``, the
-    signed basis letter the c-edge at v emits (0 on a tree edge), a table
-    the size of the graph built from ``basis.edges`` on each call, so no
-    word is spelled.  A path that leaves the graph or ends off the base
-    raises NotInSubgroupError.  The result is reduced without a reduction
-    pass: two adjacent letters s, s^-1 would need a closed tree path between
-    the two crossings, which a reduced w never takes.
+    reducing in F recovers w exactly.  The walk reads ``_emits``, built on
+    each call, so no word is spelled.  A path that leaves the graph or ends
+    off the base raises NotInSubgroupError.  The result is reduced without
+    a reduction pass: two adjacent letters s, s^-1 would need a closed tree
+    path between the two crossings, which a reduced w never takes.
     """
     if w.alphabet != graph.alphabet:
         raise ValueError("alphabet mismatch")
-    steps = graph.steps
-    emits = [[0] * len(steps[0]) for _ in steps]
-    for i, (u, g) in enumerate(basis.edges):
-        # the g-edge u -> v emits +letter, the -g edge v -> u emits -letter
-        emits[g + 1][u] = i + 1
-        emits[-g - 1][steps[g + 1][u]] = -i - 1
+    steps, emits = graph.steps, _emits(graph, basis)
     v = 0
     emitted = []
     append = emitted.append
@@ -425,6 +427,39 @@ def rewrite(graph, transversal, basis, w):
     if v != 0:
         raise NotInSubgroupError("word %r does not return to base" % (str(w),))
     return _word(basis.alphabet, tuple(emitted))
+
+
+def bracket_exponents(graph, basis, nodes):
+    """``rewrite`` on a bracket's node list (``words.bracket_word``): each
+    node's end vertex and basis exponent sums, read from the base.  Bottom-up,
+    each node's vertex permutation p; top-down, where it is read: the base,
+    and for [u, w] read at v, u at v and s = p_u^-1 p_w p_u(v), w at p_u(v)
+    and t = p_w^-1(s); bottom-up, sums there only, E_u(v) + E_w(p_u(v)) -
+    E_u(s) - E_w(t).  ValueError: a bad list or leaf, or infinite index."""
+    # the fold checks the list, and gives its largest letter code
+    if _fold_nodes(nodes, abs, max) > len(graph.alphabet) or index(graph) == INFINITE:
+        raise ValueError("bracket_exponents needs a finite-index graph over the leaves")
+    leaves = [(i, c) for i, c in enumerate(nodes) if not isinstance(c, tuple)]
+    pairs = [(i, *e) for i, e in enumerate(nodes) if isinstance(e, tuple)]
+    perms, at, sums = [None] * len(nodes), [{0} for _ in nodes], [None] * len(nodes)
+    for i, c in leaves:
+        perms[i] = graph.steps[c], graph.steps[-c]   # (p, p^-1)
+    for i, j, k in pairs:   # [u, w] reads u, w, u^-1, w^-1, and [w, u] back
+        (u, ui), (w, wi) = perms[j], perms[k]
+        perms[i] = tuple([wi[ui[w[x]]] for x in u]), tuple([ui[wi[u[x]]] for x in w])
+    for i, j, k in reversed(pairs):
+        (u, ui), (w, wi) = perms[j], perms[k]
+        at[j] |= at[i] | {ui[w[u[v]]] for v in at[i]}
+        at[k] |= {u[v] for v in at[i]} | {wi[ui[w[u[v]]]] for v in at[i]}
+    emits, zero = _emits(graph, basis), (0,) * len(basis.edges)
+    for i, c in leaves:   # the c-edge at v emits one signed basis letter e, or none
+        sums[i] = {v: zero[:abs(e) - 1] + (1 if e > 0 else -1,) + zero[abs(e):]
+                   if e else zero for v in at[i] for e in (emits[c][v],)}
+    for i, j, k in pairs:
+        (u, ui), (w, wi), eu, ew = perms[j], perms[k], sums[j], sums[k]
+        sums[i] = {v: tuple([a + b - c - d for a, b, c, d in zip(
+            eu[v], ew[u[v]], eu[s], ew[wi[s]])]) for v in at[i] for s in (ui[w[u[v]]],)}
+    return [(p[0], E[0]) for (p, _), E in zip(perms, sums)]
 
 
 def evaluate(basis, w):

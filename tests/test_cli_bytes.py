@@ -61,6 +61,9 @@ def battery():
     yield "witness", ["--json", "witness", "--d", "257", "--m", "3"]
     yield "verify", ["--json", "verify"]
     yield "verify", ["verify", "--d-max", "16"]
+    # the shape of perfbench's largest verify op
+    yield "verify", ["--json", "verify", "--d-max", "24", "--n-max", "250"]
+    yield "verify", ["verify", "--d-max", "24", "--n-max", "250"]
     for d in (2, 3, 5, 16):
         for n in range(15):
             yield "omega", ["subgroup", "rewrite", kernel_name(d, (1, 0)),
@@ -547,6 +550,8 @@ d0db485ee325646917b8b8da7065acd4e515dfebe4e2070c6e78ef431231138a  --json witness
 afb69ffe839cd37abeee55c59cb1612ff92ecda70a6cd02a1c8f7fb61fec676b  --json witness --d 5 --m 12
 839ed27b61507e8c6a9dd9ee72c06c2d46852224c62d45e0fecceccc03c3dee9  --json verify
 5eb88ad689d1226e07301eb06062afe6bc14c7e8aa80ca0ad42e7097f60e0c49  verify --d-max 16
+236531f093ec1e2274b635e74e4f1090b7c295b9bd040bc8f6d8bbfa801afaf7  --json verify --d-max 24 --n-max 250
+0d5e0b9747fd1d5cff4b37b66fff3c3dab279eafa4675a915fc862519e0165f1  verify --d-max 24 --n-max 250
 e08ceb69e4471b5fc37b5b2b49f8cdfe4f6d68ea9901fa2a7eea6cd5b831ed30  subgroup rewrite kernel_2_1_0.json omega(0)
 c4958c42959e6f09e054fe830fd85aff45518a9967fde37603d72f666b6f582b  subgroup rewrite kernel_2_1_0.json omega(1)
 65ba1229fc77dd9267c4238d54bf2b163d2d1daea9de73503fbeca5368f8535e  subgroup rewrite kernel_2_1_0.json omega(2)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fglab import engine, magnus, stallings
+from fglab import engine, magnus, stallings, words
 from fglab.cli import MAX_VERIFY_D, main
 from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
                           char_poly_check, conjugation_table, eigen_check,
@@ -154,15 +154,37 @@ class TestRecurrence:
             verify_recurrence(KernelSpec(5), 3)
 
     def test_nonzero_a_exponent_fails(self, monkeypatch):
-        exponents = engine.basis_exponents
-        monkeypatch.setattr(engine, "basis_exponents", lambda spec, w: (
-            1, exponents(spec, w)[1]))
+        # plant a = 1 in every node's sums, P left as rewriting gives it
+        exponents = stallings.bracket_exponents
+        monkeypatch.setattr(stallings, "bracket_exponents", lambda *args: [
+            (end, (1,) + sums[1:]) for end, sums in exponents(*args)])
         with pytest.raises(VerificationError,
                            match="d=3 n=0: nonzero a-exponent 1"):
             verify_recurrence(KernelSpec(3), 2)
 
+    def test_loose_end_fails(self, monkeypatch):
+        exponents = stallings.bracket_exponents
+        monkeypatch.setattr(stallings, "bracket_exponents", lambda *args: [
+            (1, sums) for _, sums in exponents(*args)])
+        with pytest.raises(VerificationError, match=re.escape(
+                "d=3 n=0: rewriting gave (-1, 1, 0) at vertex 1, matrix gave "
+                "(-1, 1, 0)")):
+            verify_recurrence(KernelSpec(3), 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 24])
+    def test_spells_and_rewrites_no_flat_word(self, d, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify_recurrence built or rewrote a flat word")
+        for module, name in ((words, "commutator"), (engine, "commutator"),
+                             (stallings, "rewrite"), (engine, "basis_exponents")):
+            # engine no longer imports commutator: set it all the same, so
+            # that an import of it back into engine is caught
+            monkeypatch.setattr(module, name, refuse, raising=False)
+        assert verify_recurrence(KernelSpec(d), 8)["ok"]
+
     def test_commutator_chain_spells_omega(self):
-        # verify_recurrence carries omega_(n+1) = [omega_n, x] step by step
+        # omega_(n+1) = [omega_n, x]: omega_bracket's pair (n + 2, 0), which
+        # verify_recurrence rewrites as a node, not as letters
         x, word = generator(XY, "x"), omega(0)
         for n in range(12):
             assert word == omega(n)
@@ -170,7 +192,7 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("n_max", [0, 24, 10 ** 6])
     def test_n_max_out_of_range_rejected(self, n_max):
-        # omega_24 would have 2^26 + 2 letters; no word is built
+        # omega_24 would have 2^26 + 2 letters; nothing is rewritten
         with pytest.raises(ValueError, match="n_max must be >= 1"):
             verify_recurrence(KernelSpec(3), n_max)
 

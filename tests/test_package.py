@@ -18,7 +18,8 @@ PUBLIC = {
            "exponent_sums generator identity inverse multiply omega "
            "omega_bracket parse_word",
     stallings: "INFINITE NotInSubgroupError SchreierBasis SubgroupGraph "
-               "Transversal build_graph contains evaluate from_json "
+               "Transversal bracket_exponents build_graph contains evaluate "
+               "from_json "
                "in_derived_subgroup index is_normal kernel_graph rewrite "
                "schreier_basis schreier_transversal",
     magnus: "IDENTITY AtLeast NoncommSeries bracket_expand coefficient in_lcs "

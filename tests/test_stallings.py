@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from fglab import stallings
 from fglab.stallings import (INFINITE, NotInSubgroupError, SubgroupGraph,
-                             build_graph, contains, evaluate, from_json,
-                             in_derived_subgroup, index, is_normal,
-                             kernel_graph, rewrite, schreier_basis,
+                             bracket_exponents, build_graph, contains,
+                             evaluate, from_json, in_derived_subgroup, index,
+                             is_normal, kernel_graph, rewrite, schreier_basis,
                              schreier_transversal)
-from fglab.words import (XY, Alphabet, Word, commutator, exponent_sums,
-                         format_runs, identity, inverse, multiply, parse_word)
+from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
+                         exponent_sums, format_runs, identity, inverse,
+                         multiply, omega, omega_bracket, parse_word)
+
+from test_magnus_routes import shared_brackets
 
 AB = Alphabet(["a", "b"])
 
@@ -916,6 +919,72 @@ class TestRewrite:
                         residue = (residue + (1 if c > 0 else -1)) % d
                 sums = exponent_sums(rewrite(g, t, b, w))
                 assert list(sums[1:]) == counts
+
+
+def flat_walk(g, b, w):
+    """The oracle: the end of w's path from the base and the sums of the
+    basis letters it crosses, +1 along a basis edge and -1 against it."""
+    letter = {edge: i for i, edge in enumerate(b.edges)}
+    v, sums = 0, [0] * len(b.edges)
+    for c in w.letters:
+        nxt = g.steps[c][v]
+        edge = (v, c - 1) if c > 0 else (nxt, -c - 1)
+        if edge in letter:
+            sums[letter[edge]] += 1 if c > 0 else -1
+        v = nxt
+    return v, tuple(sums)
+
+
+class TestBracketExponents:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(transitive_actions().map(lambda case: stabilizer_graph(*case)[0]),
+                     kernel_graphs()),
+           shared_brackets(), st.data())
+    def test_every_node_equals_the_flat_walk(self, g, rank_bracket, data):
+        rank, nodes = rank_bracket
+        assume(rank <= len(g.alphabet))
+        t = schreier_transversal(g, data.draw(st.sampled_from((None,) + g.alphabet.names)))
+        b = schreier_basis(g, t)
+        found = bracket_exponents(g, b, nodes)
+        assert len(found) == len(nodes)
+        for i, (end, sums) in enumerate(found):
+            w = bracket_word(nodes[:i + 1], g.alphabet)
+            assert end == g.trace(w)
+            assert (end, sums) == flat_walk(g, b, w)
+
+    def test_paper_identity(self):
+        # [x, y] = b2 b1^-1 over (a, b1, b2, b3)
+        g, _, b = kernel_machinery(3)
+        assert bracket_exponents(g, b, omega_bracket(0)) == [
+            (1, (0, 0, 0, 0)), (0, (0, 1, 0, 0)), (0, (0, -1, 1, 0))]
+
+    def test_omega_loops_match_rewrite(self):
+        for d in (2, 3, 5, 8):
+            g, t, b = kernel_machinery(d)
+            found = bracket_exponents(g, b, omega_bracket(8))
+            for n in range(9):
+                sums = exponent_sums(rewrite(g, t, b, omega(n)))
+                assert found[n + 2] == (0, sums)
+
+    def test_incomplete_graph_rejected(self):
+        g = build_graph([parse_word("a", AB)], AB)
+        t = schreier_transversal(g)
+        with pytest.raises(ValueError, match="finite-index graph"):
+            bracket_exponents(g, schreier_basis(g, t), (1,))
+
+    @pytest.mark.parametrize("nodes, message", [
+        ((), "at least one node"),
+        ((0,), "not a nonzero int"),
+        ((True,), "not a nonzero int"),
+        ((1, 2, (0, 2)), "not before it"),
+        ((1, (0, -1)), "not before it"),
+        ((1, 3), "finite-index graph over the leaves"),
+        ((-3,), "finite-index graph over the leaves"),
+    ])
+    def test_bad_node_list_rejected(self, nodes, message):
+        g, _, b = kernel_machinery(3)
+        with pytest.raises(ValueError, match=message):
+            bracket_exponents(g, b, nodes)
 
 
 class TestDerivedSubgroup:
