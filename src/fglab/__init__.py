@@ -23,8 +23,8 @@ _HOME = {name: layer for layer, names in {
               "lcs_weight magnus_expand series_mul series_one series_weight "
               "structural_weight weight_to_json",
     "engine": "EigenPair KernelSpec VerificationError WitnessCertificate "
-              "canonical_basis char_poly_check conjugation_table eigen_check "
-              "iterate nonvanishing_check p_vector path_counts "
+              "char_poly_check conjugation_table eigen_check iterate "
+              "nonvanishing_check p_vector path_counts "
               "transition_matrix verify_recurrence witness",
 }.items() for name in names.split()}
 __all__ = ["words", "stallings", "magnus", "engine", *_HOME]

@@ -26,7 +26,7 @@ RECURRENCE_N_CAP = 8
 # a run doubles per step in m (1.0-1.5 s at m = 20 on 2 vCPUs)
 MAX_WITNESS_M = 20
 # a verify battery up to d_max grows fastest in char_poly's big-integer
-# determinant per d (the rest is about d_max^2): 0.8-0.9 s at 200 on 2 vCPUs
+# determinant per d (the rest is about d_max^2): 0.6-1.1 s at 200 on 2 vCPUs
 MAX_VERIFY_D = 200
 
 

@@ -8,9 +8,10 @@ central term of F lands inside [G, G]:
   relations under x,
 * exponent sums of the witness words by Schreier rewriting (of their node
   lists, in the recurrence) and by counting y letters per x-residue,
-* the d x d integer transition matrix, read as its 2d nonzero entries:
-  the chain v_(n+1) = A v_n, its characteristic polynomial (one determinant
-  past the coefficient bound) and eigenpairs (exact in Q[t]/(t^d - 1)),
+* A, multiplication by 1 - t on the b-part Z[t]/(t^d - 1), t conjugation
+  by x, as two-entry rows or one shift (``transition_matrix`` is the dense
+  oracle): the chain v_(n+1) = A v_n, its characteristic polynomial (one
+  determinant past the coefficient bound) and eigenpairs (exact, over Q),
 * a proof that A^n v_0 != 0 for every n, from the kernel of A,
 * witness certificates: explicit words in F_m \\ [G, G].
 
@@ -21,6 +22,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import prod
+from operator import sub
 
 from . import stallings, words
 from .words import (XY, exponent_sums, format_runs, generator, inverse,
@@ -50,18 +52,9 @@ def _machinery(d):
     return graph, transversal, basis
 
 
-def canonical_basis(spec):
-    """The basis (a, b_1, ..., b_d) = (x^d, y, x y x^-1, ...)."""
-    return _machinery(spec.d)[2]
-
-
 def conjugation_table(spec):
-    """How conjugation by x acts on the basis, computed by rewriting.
-
-    Rewrites x * s * x^-1 for each basis word s and checks the result
-    against the expected cycle: a fixed, b_k -> b_(k+1), and the last
-    b_d -> a b_1 a^-1.
-    """
+    """Conjugation by x on the basis, by rewriting x s x^-1 for each basis
+    word s, checked against the cycle a -> a, b_k -> b_(k+1), b_d -> a b_1 a^-1."""
     d = spec.d
     graph, transversal, basis = _machinery(d)
     x = generator(XY, "x")
@@ -96,17 +89,24 @@ def transition_matrix(d):
     """1 on the diagonal, -1 on the subdiagonal, -1 in the top-right corner."""
     if d < 2:
         raise ValueError("modulus must be >= 2")
-    rows = []
-    for i in range(d):
-        row = [0] * d
-        row[i] = 1
-        row[(i - 1) % d] -= 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple((i == j) - (j == (i - 1) % d) for j in range(d))
+                 for i in range(d))
+
+
+def _a_rows(d):
+    """A's rows as {column: value}: row i of 1 - t is 1 at i, -1 at i - 1."""
+    return [{i: 1, (i - 1) % d: -1} for i in range(d)]
+
+
+def _a_step(v):
+    """A v = v - t v in one pass: (t v)_i = v_(i-1), a cyclic shift."""
+    return tuple(map(sub, v, v[-1:] + v[:-1]))
 
 
 def start_vector(d):
     """The b-exponent vector of the first witness word: (-1, 1, 0, ..., 0)."""
+    if d < 2:
+        raise ValueError("modulus must be >= 2")
     return (-1, 1) + (0,) * (d - 2)
 
 
@@ -115,21 +115,17 @@ def _rows(m):
     return [dict(compress(enumerate(row), row)) for row in m]
 
 
-def _apply(rows, v):
-    return tuple([sum([x * v[k] for k, x in row.items()]) for row in rows])
-
-
 def _mat_vec(m, v):
-    return _apply(_rows(m), v)
+    return tuple([sum([x * v[k] for k, x in row.items()]) for row in _rows(m)])
 
 
 def iterate(d, n):
     """Exact A^n v_0, by n steps of v <- A v (arbitrary precision)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows, v = _rows(transition_matrix(d)), start_vector(d)
+    v = start_vector(d)
     for _ in range(n):
-        v = _apply(rows, v)
+        v = _a_step(v)
     return v
 
 
@@ -138,13 +134,13 @@ def verify_recurrence(spec, n_max):
 
     The left side reads every omega_n, node n + 2 of ``omega_bracket(n_max)``,
     off one ``stallings.bracket_exponents`` call, spelling no word; the right
-    side is one step v <- A v per n.  Each omega_n must be a loop with a-sum 0.
+    steps v <- v - t v, one shift per n.  Each omega_n must be a loop, a-sum 0.
     """
     if n_max < 1 or 2 ** min(n_max + 2, 64) + 2 > words.MAX_WORD_LETTERS:
         raise ValueError("n_max must be >= 1, and at most 23 so that every omega_n "
                          "checked can still be spelled and checked flat")
     graph, _, basis = _machinery(spec.d)
-    rows, matrix_side = _rows(transition_matrix(spec.d)), start_vector(spec.d)
+    matrix_side = start_vector(spec.d)
     nodes = stallings.bracket_exponents(graph, basis, omega_bracket(n_max))
     for n, (end, (a_sum, *rewritten)) in enumerate(nodes[2:]):
         if (end, *rewritten) != (0, *matrix_side):
@@ -154,7 +150,7 @@ def verify_recurrence(spec, n_max):
         if a_sum != 0:
             raise VerificationError(
                 "d=%d n=%d: nonzero a-exponent %d" % (spec.d, n, a_sum))
-        matrix_side = _apply(rows, matrix_side)
+        matrix_side = _a_step(matrix_side)
     return {"d": spec.d, "n_max": n_max, "checked": n_max + 1, "ok": True}
 
 
@@ -214,9 +210,8 @@ def char_poly_check(d):
     Hadamard's inequality (||row||_2 <= ||row||_1); that of (1 - lambda)^d - 1
     is at most C(d, k) <= 2^d.  So the difference R has |r_k| <= 2^d (H + 1)
     < B / 2, and R(B) = 0 forces R = 0: its top term would outweigh the rest.
-    At lambda = B every pivot but the last is a -1 of the subdiagonal.
     """
-    a = _rows(transition_matrix(d))
+    a = _a_rows(d)
     b = _past_coefficients(a)
     return _sparse_det([{**row, i: row.get(i, 0) - b}
                         for i, row in enumerate(a)]) == (1 - b) ** d - 1
@@ -239,7 +234,7 @@ def eigen_check(d):
     ``nonvanishing_check`` proves A^n v_0 != 0 from ker A alone.
     """
     shapes = {frozenset(((i - k) % d, x) for k, x in row.items())
-              for i, row in enumerate(_rows(transition_matrix(d)))}
+              for i, row in enumerate(_a_rows(d))}
     pairs = []
     for j in range(1, d + 1):
         ok = True
@@ -264,7 +259,7 @@ def nonvanishing_check(d):
     ker A meets Z only in 0, so A is injective on Z.  v_0 is a nonzero
     vector of Z, hence by induction so is every A^n v_0.
     """
-    a, v, columns = _rows(transition_matrix(d)), start_vector(d), Counter()
+    a, v, columns = _a_rows(d), start_vector(d), Counter()
     for row in a:
         columns.update(row)
     return (not any(columns.values())

@@ -406,12 +406,15 @@ def rewrite(graph, transversal, basis, w):
     signed by crossing direction.  Substituting the basis words back and
     reducing in F recovers w exactly.  The walk reads ``_emits``, built on
     each call, so no word is spelled.  A path that leaves the graph or ends
-    off the base raises NotInSubgroupError.  The result is reduced without
-    a reduction pass: two adjacent letters s, s^-1 would need a closed tree
-    path between the two crossings, which a reduced w never takes.
+    off the base raises NotInSubgroupError, and a transversal that is not
+    the basis's own, ValueError.  The result is reduced without a reduction
+    pass: two adjacent letters s, s^-1 would need a closed tree path between
+    the two crossings, which a reduced w never takes.
     """
     if w.alphabet != graph.alphabet:
         raise ValueError("alphabet mismatch")
+    if transversal != basis.transversal:   # identical fields short-circuit
+        raise ValueError("transversal mismatch: not the basis's transversal")
     steps, emits = graph.steps, _emits(graph, basis)
     v = 0
     emitted = []

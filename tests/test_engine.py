@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from fglab import engine, magnus, stallings, words
 from fglab.cli import MAX_VERIFY_D, main
-from fglab.engine import (KernelSpec, VerificationError, canonical_basis,
-                          char_poly_check, conjugation_table, eigen_check,
+from fglab.engine import (KernelSpec, VerificationError, char_poly_check,
+                          conjugation_table, eigen_check,
                           iterate, nonvanishing_check, p_vector, path_counts,
                           transition_matrix, verify_recurrence, witness)
 from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
@@ -20,16 +21,16 @@ from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
 
 class TestCanonicalBasis:
     def test_d3(self):
-        b = canonical_basis(KernelSpec(3))
+        b = engine._machinery(3)[2]
         assert [str(b.word(i)) for i in range(4)] == ["x^3", "y", "x y x^-1",
                                                      "x^2 y x^-2"]
 
     def test_d2(self):
-        b = canonical_basis(KernelSpec(2))
+        b = engine._machinery(2)[2]
         assert [str(b.word(i)) for i in range(3)] == ["x^2", "y", "x y x^-1"]
 
     def test_d5(self):
-        b = canonical_basis(KernelSpec(5))
+        b = engine._machinery(5)[2]
         assert len(b.edges) == 6
         assert str(b.word(0)) == "x^5"
 
@@ -126,12 +127,47 @@ class TestIterate:
                 v = engine._mat_vec(m, v)
 
 
+class TestRingElement:
+    """A as 1 - t: the two-entry rows and the shift, against the dense oracle."""
+
+    def test_rows_match_the_dense_matrix(self):
+        for d in range(2, MAX_VERIFY_D + 1):
+            assert engine._a_rows(d) == engine._rows(transition_matrix(d))
+
+    @settings(deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda d: st.lists(
+        st.integers(-10 ** 30, 10 ** 30), min_size=d, max_size=d)))
+    def test_step_is_the_matrix_product(self, v):
+        v = tuple(v)
+        assert engine._a_step(v) == engine._mat_vec(transition_matrix(len(v)), v)
+
+    def test_verify_builds_no_dense_matrix(self, monkeypatch, capsys):
+        argv = ["--json", "verify", "--d-max", "24"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+
+        def dense(d):
+            raise AssertionError("verify built transition_matrix(%d)" % d)
+        monkeypatch.setattr(engine, "transition_matrix", dense)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_shift_the_other_way_fails(self, monkeypatch):
+        # 1 - t^-1 reads v_(i+1) for v_(i-1); at d = 2, t^-1 = t, so only
+        # d >= 3 can tell the two apart
+        monkeypatch.setattr(engine, "_a_step",
+                            lambda v: tuple(map(sub, v, v[1:] + v[:1])))
+        assert verify_recurrence(KernelSpec(2), 3)["ok"]
+        with pytest.raises(VerificationError, match="d=5 n=1: rewriting"):
+            verify_recurrence(KernelSpec(5), 3)
+
+
 def perturb_matrix(monkeypatch):
-    """Make engine.transition_matrix(5) return A with A[2][0] off by one."""
+    """Make A at d = 5 read A[2][0] off by one, in its rows and in its step."""
     a = [list(row) for row in transition_matrix(5)]
     a[2][0] += 1
-    monkeypatch.setattr(engine, "transition_matrix",
-                        lambda d: tuple(map(tuple, a)))
+    monkeypatch.setattr(engine, "_a_rows", lambda d: engine._rows(a))
+    monkeypatch.setattr(engine, "_a_step", lambda v: engine._mat_vec(a, v))
 
 
 class TestRecurrence:
@@ -345,7 +381,7 @@ class TestCharPoly:
         # 0..5 would catch it, but any point in 0..3 would not
         c = ((0, 0, 0, 0, 0), (1, 0, 0, 0, -11), (0, 1, 0, 0, 21),
              (0, 0, 1, 0, -16), (0, 0, 0, 1, 6))
-        monkeypatch.setattr(engine, "transition_matrix", lambda d: c)
+        monkeypatch.setattr(engine, "_a_rows", lambda d: engine._rows(c))
         for lam in range(6):
             agrees = fraction_det(shifted(c, lam)) == (1 - lam) ** 5 - 1
             assert agrees == (lam <= 3)
@@ -476,7 +512,7 @@ class TestNonvanishing:
         # two blocks of the d = 2 matrix: rows and columns still sum to 0,
         # but (1, 1, 0, 0) and (0, 0, 1, 1) both lie in the kernel
         blocks = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
-        monkeypatch.setattr(engine, "transition_matrix", lambda d: blocks)
+        monkeypatch.setattr(engine, "_a_rows", lambda d: engine._rows(blocks))
         assert not nonvanishing_check(4)
 
 

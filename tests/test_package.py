@@ -26,8 +26,8 @@ PUBLIC = {
             "lcs_weight magnus_expand series_mul series_one series_weight "
             "structural_weight weight_to_json",
     engine: "EigenPair KernelSpec VerificationError WitnessCertificate "
-            "canonical_basis char_poly_check conjugation_table eigen_check "
-            "iterate nonvanishing_check p_vector path_counts "
+            "char_poly_check conjugation_table eigen_check iterate "
+            "nonvanishing_check p_vector path_counts "
             "transition_matrix verify_recurrence witness",
 }
 NAMES = [(module, name) for module, names in PUBLIC.items()

@@ -875,6 +875,20 @@ class TestRewrite:
         with pytest.raises(NotInSubgroupError):
             rewrite(g, t, b, parse_word("x", XY))
 
+    @pytest.mark.parametrize("other", [lambda: kernel_machinery(5)[1],
+                                       lambda: None], ids=["d5", "none"])
+    def test_rejects_another_transversal(self, other):
+        g, _, b = kernel_machinery(3)
+        with pytest.raises(ValueError, match="transversal mismatch"):
+            rewrite(g, other(), b, parse_word("x^3", XY))
+
+    def test_accepts_an_equal_transversal(self):
+        # a transversal rebuilt from the same graph compares equal by fields
+        g, t, b = kernel_machinery(3)
+        again = schreier_transversal(g, preferred="x")
+        assert again is not t
+        assert str(rewrite(g, again, b, parse_word("x^3", XY))) == "a"
+
     # <x^2> has no y-edge: the path breaks at the first, a middle and the
     # last letter
     @pytest.mark.parametrize("text", ["y", "x y x^-1", "x^2 y"])
