@@ -19,12 +19,12 @@ _HOME = {name: layer for layer, names in {
                  "Transversal bracket_exponents build_graph contains evaluate "
                  "from_json in_derived_subgroup index is_normal kernel_graph "
                  "rewrite schreier_basis schreier_transversal",
-    "magnus": "IDENTITY AtLeast NoncommSeries bracket_expand coefficient in_lcs "
+    "magnus": "IDENTITY AtLeast NoncommSeries bracket_expand in_lcs "
               "lcs_weight magnus_expand series_mul series_one series_weight "
               "structural_weight weight_to_json",
     "engine": "EigenPair KernelSpec VerificationError WitnessCertificate "
-              "char_poly_check conjugation_table eigen_check iterate "
-              "nonvanishing_check p_vector path_counts "
+              "char_poly_check conjugation_table eigen_check fox_walk iterate "
+              "nonvanishing_check p_vector "
               "transition_matrix verify_recurrence witness",
 }.items() for name in names.split()}
 __all__ = ["words", "stallings", "magnus", "engine", *_HOME]

@@ -23,7 +23,7 @@ DEFAULT_D_MAX = 12
 # grow a bit per n (0.3 s at n = 250, d <= 24); the rest hold for every n
 RECURRENCE_N_CAP = 8
 # witness spells, rewrites and walks the 2^m + 2 letters of omega_(m-2), so
-# a run doubles per step in m (1.0-1.5 s at m = 20 on 2 vCPUs)
+# a run doubles per step in m (0.55-0.95 s at m = 20 on 2 vCPUs)
 MAX_WITNESS_M = 20
 # a verify battery up to d_max grows fastest in char_poly's big-integer
 # determinant per d (the rest is about d_max^2): 0.6-1.1 s at 200 on 2 vCPUs

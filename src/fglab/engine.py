@@ -7,7 +7,7 @@ central term of F lands inside [G, G]:
 * the canonical Schreier basis (a, b_1, ..., b_d) and its conjugation
   relations under x,
 * exponent sums of the witness words by Schreier rewriting (of their node
-  lists, in the recurrence) and by counting y letters per x-residue,
+  lists, in the recurrence) and by one Fox-derivative walk over the letters,
 * A, multiplication by 1 - t on the b-part Z[t]/(t^d - 1), t conjugation
   by x, as two-entry rows or one shift (``transition_matrix`` is the dense
   oracle): the chain v_(n+1) = A v_n, its characteristic polynomial (one
@@ -21,7 +21,7 @@ All arithmetic is exact: Python integers and the cyclotomic ring above.
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import compress
-from math import prod
+from math import comb, prod
 from operator import sub
 
 from . import stallings, words
@@ -269,34 +269,55 @@ def nonvanishing_check(d):
             and sum(v) == 0 and any(v))
 
 
-def path_counts(d, w):
-    """(a-sum, (P_1, ..., P_d)) of a kernel word, by walking its x-residues.
+def fox_walk(w):
+    """(T, D_x, D_y) of a word over {x, y}, from one walk over its letters.
 
-    An independent route to ``basis_exponents`` that builds no graph: a y
-    letter read at residue r adds its sign to P_(r+1), and an x step across
-    d - 1 -> 0 adds its sign to the a-sum.  Raises ValueError unless w's
-    alphabet is {x, y}, and VerificationError if the walk does not end at
-    residue 0, i.e. if w is not in the kernel.
+    T is the x-exponent sum; D_g maps each prefix x-exponent p to the signed
+    count of g^+-1 letters read at p, x^-1 at p - 1: the Fox derivative dw/dg
+    under x -> t, y -> 1 (Fox, Ann. of Math. 57, 1953).  Raises ValueError
+    unless w's alphabet is {x, y}.
+
+    The Magnus coefficient of Y X^k is sum_p D_y[p] C(T - p, k): Y comes from
+    one y^+-1 letter, with sign +-1, each letter before it gives 1, and with
+    Y = 0 those after it give (1 + X)^(T - p).  It is -1 on omega_(m-2) for
+    k = m - 1 (Chen, Fox and Lyndon, Ann. of Math. 68, 1958), by induction:
+    M([x, y]) - 1 has lowest part XY - YX.  If M(w) - 1 has lowest part P of
+    degree k, with -1 on Y X^(k-1), M([w, x]) - 1 = (M(w)X - XM(w)) M(w)^-1
+    (1 + X)^-1 has lowest part PX - XP, and only PX gives Y X^k.
     """
     if set(w.alphabet) != {"x", "y"}:
-        raise ValueError("alphabet mismatch: path_counts walks words over {x, y}")
+        raise ValueError("alphabet mismatch: fox_walk walks words over {x, y}")
     x = w.alphabet.index("x") + 1
-    a_sum, counts, residue = 0, [0] * d, 0
+    p, d_x, d_y = 0, {}, {}
     for c in w.letters:
         if c == x:
-            residue += 1
-            if residue == d:
-                residue, a_sum = 0, a_sum + 1
+            d_x[p] = d_x.get(p, 0) + 1
+            p += 1
         elif c == -x:
-            if residue == 0:
-                residue, a_sum = d, a_sum - 1
-            residue -= 1
+            p -= 1
+            d_x[p] = d_x.get(p, 0) - 1
         else:
-            counts[residue] += 1 if c > 0 else -1
-    if residue != 0:
+            d_y[p] = d_y.get(p, 0) + (1 if c > 0 else -1)
+    return p, d_x, d_y
+
+
+def _binomial(e, k):
+    """C(e, k), the coefficient of X^k in (1 + X)^e, for any integer e."""
+    return comb(e, k) if e >= 0 else (-1) ** k * comb(k - e - 1, k)
+
+
+def _residues(d, walk):
+    """(a-sum, (P_1, ..., P_d)) of a kernel word from its ``fox_walk``: P_(r+1)
+    sums D_y at p = r mod d, the a-sum D_x at p = -1 mod d (x steps across
+    d - 1 -> 0), with no graph.  Raises VerificationError unless T = 0 mod d."""
+    total, d_x, d_y = walk
+    if total % d:
         raise VerificationError("the word's walk ends at residue %d, not 0"
-                                % residue)
-    return a_sum, tuple(counts)
+                                % (total % d))
+    counts = [0] * d
+    for p, n in d_y.items():
+        counts[p % d] += n
+    return sum(n for p, n in d_x.items() if p % d == d - 1), tuple(counts)
 
 
 class WitnessCertificate(namedtuple(
@@ -361,16 +382,16 @@ def witness(d, m):
 def _recheck(cert):
     """Raise VerificationError unless a witness certificate re-checks.
 
-    Weight <= m: the Magnus coefficient of y x^(m-1) in the letters is -1
-    (Chen, Fox and Lyndon, 1958).  Weight >= m: the bracket spells those
-    letters, and its structural weight reaches m, as [F_i, F_j] lies in
-    F_(i+j).  The printed weight must be that m.  G_2: counting y letters
-    per x-residue, with no graph, gives the a-sum and a nonzero P-vector.
+    One ``fox_walk`` gives weight <= m, from its coefficient -1 on y x^(m-1),
+    and G_2, from residues that equal the a-sum and a nonzero P-vector.
+    Weight >= m: the bracket spells the letters, its structural weight >= m,
+    as [F_i, F_j] lies in F_(i+j).  The printed weight must be m.
     """
     from . import magnus
     alphabet, m = cert.witness.alphabet, cert.m
-    x, y = alphabet.index("x"), alphabet.index("y")
-    found = magnus.coefficient(cert.witness, (y,) + (x,) * (m - 1))
+    walk = fox_walk(cert.witness)
+    total, _, d_y = walk
+    found = sum(n * _binomial(total - p, m - 1) for p, n in d_y.items())
     if found != -1:
         raise VerificationError(
             "independent F_m re-check failed: the coefficient of y x^%d is %d, "
@@ -388,6 +409,6 @@ def _recheck(cert):
         raise VerificationError(
             "independent F_m re-check failed: the weight is %d, the "
             "certificate prints %r" % (m, cert.weight))
-    counted = path_counts(cert.d, cert.witness)
+    counted = _residues(cert.d, walk)
     if counted != (cert.a_sum, cert.p_vec) or not any(cert.p_vec):
         raise VerificationError("independent G_2 re-check failed")

@@ -24,9 +24,8 @@ same expansion:
   length of the word the bracket spells, which doubles with each level of
   nesting.  It issues the F_m verdict of a witness certificate.
 
-``coefficient`` reads one coefficient off the letters with no series at
-all, and ``structural_weight`` bounds the weight of a bracket from below
-with no expansion; together they re-check that verdict.
+``structural_weight`` bounds a bracket's weight from below, and
+``engine.fox_walk`` from above, with no series; they re-check that verdict.
 """
 
 from collections import namedtuple
@@ -243,42 +242,6 @@ def bracket_expand(bracket, cap):
             base, -1)
 
     return _series(_fold_nodes(bracket, leaf, join)[1], cap, base)
-
-
-def coefficient(w, monomial):
-    """The coefficient of one monomial in the Magnus expansion of a word.
-
-    The monomial is a tuple of 0-based variable indices, as in the keys of
-    ``NoncommSeries``.  For g_1 ... g_k, the map sending generator g to
-    I + sum E_(i-1, i), over the positions i with g_i = g, factors through
-    the expansion, and entry (0, k) of the image of w is the coefficient:
-    an augmented higher Fox derivative (Chen, Fox and Lyndon, Ann. of Math.
-    68, 1958).  One walk over the letters keeps row 0 only: letter g adds
-    row[i-1] into row[i] at its positions walking i downward, and g^-1
-    subtracts walking i upward.  A letter costs O(k), and no series, level
-    list or bracket is involved.
-
-    ``engine.witness`` re-checks the weight of omega_(m-2) from above by its
-    coefficient -1 on y x^(m-1).  By induction: M([x, y]) - 1 has lowest
-    part XY - YX, with -1 on YX.  If M(w) - 1 has lowest part P of degree
-    k, with -1 on Y X^(k-1), then M([w, x]) - 1 = (M(w)X - XM(w)) M(w)^-1
-    (1 + X)^-1 has lowest part PX - XP, and only PX can give Y X^k, as
-    every term of XP starts with X.
-    """
-    up = {}
-    for i, g in enumerate(monomial, 1):
-        up.setdefault(g + 1, []).append(i)
-    steps = {-c: places for c, places in up.items()}
-    steps.update((c, places[::-1]) for c, places in up.items())
-    row = [1] + [0] * len(monomial)
-    for c in w.letters:
-        if c > 0:
-            for i in steps.get(c, ()):
-                row[i] += row[i - 1]
-        else:
-            for i in steps.get(c, ()):
-                row[i] -= row[i - 1]
-    return row[-1]
 
 
 def structural_weight(bracket):

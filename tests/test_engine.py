@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from fglab import engine, magnus, stallings, words
 from fglab.cli import MAX_VERIFY_D, main
 from fglab.engine import (KernelSpec, VerificationError, char_poly_check,
-                          conjugation_table, eigen_check,
-                          iterate, nonvanishing_check, p_vector, path_counts,
+                          conjugation_table, eigen_check, fox_walk,
+                          iterate, nonvanishing_check, p_vector,
                           transition_matrix, verify_recurrence, witness)
 from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
                          generator, inverse, omega, omega_bracket, parse_word)
@@ -516,6 +516,25 @@ class TestNonvanishing:
         assert not nonvanishing_check(4)
 
 
+def path_counts(d, w):
+    """(a-sum, P-vector) of a kernel word: the Fox walk reduced mod t^d - 1."""
+    return engine._residues(d, fox_walk(w))
+
+
+@st.composite
+def kernel_words(draw):
+    """(d, w): a word over {x, y} in either letter order, closed by x^-T mod d
+    so that it lies in the kernel of x -> 1, y -> 0 in Z_d."""
+    d = draw(st.integers(2, 9))
+    alphabet = draw(st.sampled_from([XY, Alphabet(("y", "x"))]))
+    letters = draw(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=30))
+    w = Word(alphabet, letters)
+    x = alphabet.index("x") + 1
+    total = sum((c == x) - (c == -x) for c in w.letters)
+    close = -total % d - draw(st.integers(0, 2)) * d
+    return d, w * generator(alphabet, "x", close)
+
+
 class TestPathCounts:
     @pytest.mark.parametrize("d", (2, 3, 5, 8))
     def test_matches_rewriting(self, d):
@@ -523,7 +542,17 @@ class TestPathCounts:
             assert path_counts(d, omega(n)) == \
                 engine.basis_exponents(KernelSpec(d), omega(n))
 
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_words())
+    def test_residues_match_rewriting_on_kernel_words(self, d_word):
+        # rewriting runs over {x, y} in that order, so it reads w respelled
+        d, w = d_word
+        assert path_counts(d, w) == engine.basis_exponents(
+            KernelSpec(d), parse_word(str(w), XY))
+
     def test_a_steps(self):
+        # an x^-1 letter counts at p - 1: read at p, "x^-1 y x" would give
+        # a-sum 1 at d = 3
         for text, want in [("x^3 y x^-3", (0, (1, 0, 0))),
                            ("x^3 y", (1, (1, 0, 0))),
                            ("x^-3 y", (-1, (1, 0, 0))),
@@ -531,6 +560,11 @@ class TestPathCounts:
             word = parse_word(text, XY)
             assert path_counts(3, word) == want
             assert engine.basis_exponents(KernelSpec(3), word) == want
+
+    def test_walk_records_x_inverse_at_p_minus_1(self):
+        assert fox_walk(parse_word("x^-1 y x", XY)) == (0, {-1: 0}, {-1: 1})
+        assert fox_walk(parse_word("y^-1 x y^-1", XY)) == (1, {0: 1},
+                                                           {0: -1, 1: -1})
 
     def test_rejects_non_kernel_words(self):
         with pytest.raises(VerificationError):
@@ -635,7 +669,7 @@ class TestWitness:
         build = engine.WitnessCertificate
         monkeypatch.setattr(engine, "WitnessCertificate", lambda **fields: (
             build(**fields)._replace(a_sum=0, p_vec=(0, 0, 0))))
-        monkeypatch.setattr(engine, "path_counts", lambda d, w: (0, (0,) * d))
+        monkeypatch.setattr(engine, "_residues", lambda d, walk: (0, (0,) * d))
         with pytest.raises(VerificationError, match="G_2 re-check failed"):
             witness(3, 5)
 

@@ -1,5 +1,5 @@
-"""Property tests: the bracket and flat Magnus routes and the one-coefficient
-walk against plain oracles."""
+"""Property tests: the bracket and flat Magnus routes and the Fox walk's
+coefficient read-out against plain oracles."""
 
 import itertools
 import tracemalloc
@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from fglab import engine, magnus
 from fglab.cli import main
+from fglab.engine import fox_walk
 from fglab.magnus import (IDENTITY, AtLeast, NoncommSeries, bracket_expand,
-                          coefficient, lcs_weight, magnus_expand, series_mul,
-                          series_one, series_weight, structural_weight)
+                          lcs_weight, magnus_expand, series_mul, series_one,
+                          series_weight, structural_weight)
 from fglab.words import (XY, Alphabet, Word, bracket_word, commutator,
                          generator, multiply, omega, omega_bracket)
 
@@ -229,9 +230,8 @@ def test_witness_fails_on_a_changed_letter(capsys, monkeypatch):
 
 def test_witness_fails_when_the_coefficient_skips_inverse_letters(
         capsys, monkeypatch):
-    walk = magnus.coefficient
-    monkeypatch.setattr(magnus, "coefficient", lambda w, mono: walk(
-        Word(w.alphabet, [c for c in w.letters if c > 0]), mono))
+    monkeypatch.setattr(engine, "fox_walk", lambda w: fox_walk(
+        Word(w.alphabet, [c for c in w.letters if c > 0])))
     assert main(["witness", "--d", "3", "--m", "5"]) == 1
     assert "F_m re-check failed: the coefficient of y x^4 is" in \
         capsys.readouterr().err
@@ -307,6 +307,40 @@ def monomials(rank, cap):
             for mono in itertools.product(range(rank), repeat=k)]
 
 
+def coefficient(w, monomial):
+    """The oracle: the coefficient of one monomial in the Magnus expansion.
+
+    The monomial is a tuple of 0-based variable indices, as in the keys of
+    ``NoncommSeries``.  For g_1 ... g_k, the map sending generator g to
+    I + sum E_(i-1, i), over the positions i with g_i = g, factors through
+    the expansion, and entry (0, k) of the image of w is the coefficient:
+    an augmented higher Fox derivative (Chen, Fox and Lyndon, Ann. of Math.
+    68, 1958).  One walk over the letters keeps row 0 only: letter g adds
+    row[i-1] into row[i] at its positions walking i downward, and g^-1
+    subtracts walking i upward.
+    """
+    up = {}
+    for i, g in enumerate(monomial, 1):
+        up.setdefault(g + 1, []).append(i)
+    steps = {-c: places for c, places in up.items()}
+    steps.update((c, places[::-1]) for c, places in up.items())
+    row = [1] + [0] * len(monomial)
+    for c in w.letters:
+        if c > 0:
+            for i in steps.get(c, ()):
+                row[i] += row[i - 1]
+        else:
+            for i in steps.get(c, ()):
+                row[i] -= row[i - 1]
+    return row[-1]
+
+
+def read_y_x(w, k):
+    """The read-out ``engine._recheck`` makes: sum_p D_y[p] C(T - p, k)."""
+    total, _, d_y = fox_walk(w)
+    return sum(n * engine._binomial(total - p, k) for p, n in d_y.items())
+
+
 @settings(max_examples=200, deadline=None)
 @given(words(max_size=16), st.integers(1, 5))
 def test_coefficient_equals_the_expansion(word, cap):
@@ -331,3 +365,22 @@ def test_coefficient_of_a_product_sums_over_the_splits(data):
 def test_omega_has_coefficient_minus_one_on_y_x_to_the_m_minus_1(m):
     x, y = XY.index("x"), XY.index("y")
     assert coefficient(omega(m - 2), (y,) + (x,) * (m - 1)) == -1
+    assert read_y_x(omega(m - 2), m - 1) == -1
+
+
+@pytest.mark.parametrize("alphabet", [XY, Alphabet(("y", "x"))], ids=str)
+@settings(max_examples=300, deadline=None)
+@given(letters=st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24),
+       k=st.integers(0, 6))
+def test_fox_walk_reads_the_coefficient_of_y_x_to_the_k(alphabet, letters, k):
+    w = Word(alphabet, letters)
+    x, y = alphabet.index("x"), alphabet.index("y")
+    assert read_y_x(w, k) == coefficient(w, (y,) + (x,) * k)
+
+
+@pytest.mark.parametrize("e", range(-8, 9))
+def test_binomial_is_the_expansion_of_a_power_of_x(e):
+    # C(e, k) is the coefficient of X^k in M(x^e) = (1 + X)^e
+    terms = magnus_expand(Word(XY, [1 if e > 0 else -1] * abs(e)), 8).terms
+    for k in range(9):
+        assert engine._binomial(e, k) == terms.get((0,) * k, 0)
